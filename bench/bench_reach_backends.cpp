@@ -8,15 +8,15 @@
 //     (--reach-speedup-min, default 10): the table backend exists to be an
 //     order of magnitude cheaper than the walk, and a change that erodes
 //     that — however fast in absolute terms — defeats the design.
-//   * reach_conservatism_{ellipsoid,table}_<plant> — mean (t_backend + 1) /
-//     (t_box + 1) over the probe set, in (0, 1] by the soundness contract.
-//     Gated on absolute drop (--metrics-tolerance): a collapse means the
-//     backend turned uselessly conservative even though it is still sound.
+//   * reach_conservatism_table_<plant> — mean (t_table + 1) / (t_box + 1)
+//     over the probe set, in (0, 1] by the soundness contract.  Gated on
+//     absolute drop (--metrics-tolerance): a collapse means the table
+//     turned uselessly conservative even though it is still sound.
 //
 // Before benchmarking, main() verifies the contract the metrics depend on:
 // backends rebuilt from the same spec must answer bit-identically, and the
-// cross-backend soundness ordering (ellipsoid <= box, in-domain table <=
-// box) must hold on every probe — an unsound backend cannot be a baseline.
+// soundness ordering (in-domain table <= box) must hold on every probe — an
+// unsound backend cannot be a baseline.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -47,7 +47,6 @@ const char* const kPlants[] = {"aircraft_pitch", "vehicle_turning", "series_rlc"
 struct PlantSetup {
   std::string plant;
   std::unique_ptr<reach::Backend> box;
-  std::unique_ptr<reach::Backend> ellipsoid;
   std::unique_ptr<reach::Backend> table;
   std::vector<Vec> probes;  ///< in-domain probe states, fixed xorshift cloud
 };
@@ -69,8 +68,6 @@ PlantSetup make_setup(const char* plant) {
 
   spec.kind = reach::BackendKind::kBox;
   s.box = reach::make_backend(spec).value();
-  spec.kind = reach::BackendKind::kEllipsoid;
-  s.ellipsoid = reach::make_backend(spec).value();
   spec.kind = reach::BackendKind::kTable;
   s.table = reach::make_backend(spec).value();
 
@@ -100,7 +97,7 @@ PlantSetup make_setup(const char* plant) {
   return s;
 }
 
-/// Gate precondition: rebuild determinism + cross-backend soundness.
+/// Gate precondition: rebuild determinism + table soundness.
 bool verify_contract(const PlantSetup& s) {
   const std::unique_ptr<reach::Backend> rebuilt =
       [&] {
@@ -115,13 +112,11 @@ bool verify_contract(const PlantSetup& s) {
   }
   for (const Vec& x : s.probes) {
     const std::size_t t_box = s.box->estimate(x);
-    const std::size_t t_ell = s.ellipsoid->estimate(x);
     const std::size_t t_tab = s.table->estimate(x);
-    if (t_ell > t_box || t_tab > t_box || rebuilt->estimate(x) != t_tab) {
+    if (t_tab > t_box || rebuilt->estimate(x) != t_tab) {
       std::fprintf(stderr,
-                   "FATAL: %s soundness/determinism violated (box %zu, ellipsoid "
-                   "%zu, table %zu)\n",
-                   s.plant.c_str(), t_box, t_ell, t_tab);
+                   "FATAL: %s soundness/determinism violated (box %zu, table %zu)\n",
+                   s.plant.c_str(), t_box, t_tab);
       return false;
     }
   }
@@ -223,7 +218,6 @@ void register_benchmarks(const std::vector<PlantSetup>& setups) {
           });
     };
     reg("box", *s.box);
-    reg("ellipsoid", *s.ellipsoid);
     reg("table", *s.table);
   }
 }
@@ -244,13 +238,11 @@ int main(int argc, char** argv) {
     const double walk_ns = timing.box_ns;
     const double table_ns = timing.table_ns;
     const double speedup = timing.speedup;
-    const double cons_ell = conservatism_ratio(*s.ellipsoid, s);
     const double cons_tab = conservatism_ratio(*s.table, s);
     std::printf("%-18s box %8.1f ns  table %6.1f ns  speedup %7.1fx  "
-                "conservatism ell %.3f table %.3f\n",
-                s.plant.c_str(), walk_ns, table_ns, speedup, cons_ell, cons_tab);
+                "conservatism table %.3f\n",
+                s.plant.c_str(), walk_ns, table_ns, speedup, cons_tab);
     metrics.emplace_back("reach_table_speedup_" + s.plant, speedup);
-    metrics.emplace_back("reach_conservatism_ellipsoid_" + s.plant, cons_ell);
     metrics.emplace_back("reach_conservatism_table_" + s.plant, cons_tab);
   }
   std::printf("\n");

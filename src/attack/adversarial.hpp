@@ -1,4 +1,4 @@
-// adversarial.hpp — detector-aware attack scenarios (ROADMAP item 4).
+// adversarial.hpp — detector-aware attack scenarios (DESIGN.md §16.2).
 //
 // The attacks in attack.hpp model §6.1.1's fixed scenarios: the attacker
 // picks a bias/lag/segment once and replays it blindly.  This header models

@@ -16,8 +16,8 @@
 //   * pipeline    — DetectionSystem (+ options), StepRecord / Trace
 //   * scoring     — RunMetrics, compute_metrics, StreamingMetrics
 //   * campaigns   — ExperimentSpec / SweepSpec runners (Table 2 / Fig. 7)
-//   * reachability— reach::Backend deadline strategies (box / ellipsoid /
-//                   precomputed table) and the offline table pipeline
+//   * reachability— reach::Backend deadline strategies (box / precomputed
+//                   table) and the offline table pipeline
 //   * calibration — threshold / max-window profiling
 //   * serving     — StreamEngine: batched multi-stream detection
 //   * tuning      — auto-tuner to a target FAR, ROC/AUC sweeps
@@ -37,7 +37,6 @@
 #include "obs/obs.hpp"
 #include "reach/backend.hpp"
 #include "reach/deadline.hpp"
-#include "reach/ellipsoid.hpp"
 #include "reach/table.hpp"
 #include "serve/engine_ckpt.hpp"
 #include "serve/forensics.hpp"
@@ -101,8 +100,6 @@ using reach::build_table;
 using reach::DeadlineConfig;
 using reach::DeadlineTable;
 using reach::decode_table;
-using reach::EllipsoidBackend;
-using reach::EllipsoidConfig;
 using reach::encode_table;
 using reach::make_backend;
 using reach::make_table_backend;

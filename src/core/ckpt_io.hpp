@@ -59,9 +59,8 @@ void write_case(Writer& w, const SimulatorCase& c);
 [[nodiscard]] bool read_case(Reader& r, SimulatorCase& c);
 
 /// The serializable subset of DetectionSystemOptions: everything except the
-/// make_estimator factory and the shared deadline-estimator handle (the
-/// first is an opaque std::function — streams carrying one cannot be
-/// checkpointed; the second is rebuilt from the case on restore).
+/// shared deadline-estimator handle, which is rebuilt from the case on
+/// restore.
 void write_system_options(Writer& w, const DetectionSystemOptions& o);
 [[nodiscard]] bool read_system_options(Reader& r, DetectionSystemOptions& o);
 

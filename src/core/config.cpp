@@ -191,9 +191,8 @@ Status SimulatorCase::check() const noexcept {
                   "residual, so detection never runs)"};
   }
   if (reach_backend != reach::BackendKind::kBox &&
-      reach_backend != reach::BackendKind::kEllipsoid &&
       reach_backend != reach::BackendKind::kTable) {
-    return {kBad, "reach_backend must be box, ellipsoid or table"};
+    return {kBad, "reach_backend must be box or table"};
   }
   if (reach_backend == reach::BackendKind::kTable) {
     if (reach_table_cells == 0) {

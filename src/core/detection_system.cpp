@@ -69,8 +69,7 @@ sim::Simulator build_simulator(const SimulatorCase& scase, AttackKind attack,
   opts.faults = std::move(faults);
   opts.lean_records = options.lean_records;
   return sim::Simulator(std::move(plant), scase.make_controller(),
-                        scase.make_attack(attack), std::move(opts),
-                        options.make_estimator ? options.make_estimator() : nullptr);
+                        scase.make_attack(attack), std::move(opts));
 }
 
 }  // namespace

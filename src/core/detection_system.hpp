@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 
@@ -39,9 +38,6 @@ namespace awd::core {
 struct DetectionSystemOptions {
   std::optional<std::size_t> fixed_window;  ///< override the baseline window
   double init_radius = 0.0;                 ///< deadline seed ball radius (§3.3.1)
-  /// Factory for the measurement → estimate stage; empty means the paper's
-  /// passthrough (fully observable) assumption.
-  std::function<std::unique_ptr<sim::Estimator>()> make_estimator;
 
   /// Deterministic fault schedule for the run.  An empty plan constructs no
   /// injector at all, so nominal runs are bit-identical to the unhardened

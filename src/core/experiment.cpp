@@ -1,8 +1,6 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "core/detection_system.hpp"
@@ -259,45 +257,6 @@ Result<std::vector<WindowSweepPoint>> fixed_window_sweep(const SweepSpec& spec) 
     }
   }
   return points;
-}
-
-namespace {
-
-/// Shared tail of the deprecated positional shims.
-template <typename T>
-T value_or_throw(Result<T> result) {
-  if (!result.is_ok()) {
-    throw std::invalid_argument(std::string(result.status().message()));
-  }
-  return std::move(result).value();
-}
-
-}  // namespace
-
-CellResult run_cell(const SimulatorCase& scase, AttackKind attack, std::size_t runs,
-                    std::uint64_t base_seed, const MetricsOptions& options,
-                    std::size_t threads) {
-  return value_or_throw(run_cell(ExperimentSpec{.scase = scase,
-                                                .attack = attack,
-                                                .runs = runs,
-                                                .base_seed = base_seed,
-                                                .metrics = options,
-                                                .threads = threads}));
-}
-
-std::vector<WindowSweepPoint> fixed_window_sweep(const SimulatorCase& scase,
-                                                 AttackKind attack,
-                                                 const std::vector<std::size_t>& windows,
-                                                 std::size_t runs, std::uint64_t base_seed,
-                                                 const MetricsOptions& options,
-                                                 std::size_t threads) {
-  return value_or_throw(fixed_window_sweep(SweepSpec{.scase = scase,
-                                                     .attack = attack,
-                                                     .windows = windows,
-                                                     .runs = runs,
-                                                     .base_seed = base_seed,
-                                                     .metrics = options,
-                                                     .threads = threads}));
 }
 
 }  // namespace awd::core

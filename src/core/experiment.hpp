@@ -92,14 +92,6 @@ struct ExperimentSpec {
 /// Returns spec.check()'s Status when the spec is invalid.
 [[nodiscard]] Result<CellResult> run_cell(const ExperimentSpec& spec);
 
-/// Deprecated positional form; forwards to run_cell(ExperimentSpec) and
-/// throws std::invalid_argument when the spec is rejected.
-[[deprecated("use run_cell(const ExperimentSpec&) with designated initializers")]]
-[[nodiscard]] CellResult run_cell(const SimulatorCase& scase, AttackKind attack,
-                                  std::size_t runs, std::uint64_t base_seed,
-                                  const MetricsOptions& options = {},
-                                  std::size_t threads = 0);
-
 /// One point of the Fig. 7 sweep.
 struct WindowSweepPoint {
   std::size_t window = 0;
@@ -129,13 +121,5 @@ struct SweepSpec {
 /// Returns spec.check()'s Status when the spec is invalid.
 [[nodiscard]] Result<std::vector<WindowSweepPoint>> fixed_window_sweep(
     const SweepSpec& spec);
-
-/// Deprecated positional form; forwards to fixed_window_sweep(SweepSpec)
-/// and throws std::invalid_argument when the spec is rejected.
-[[deprecated("use fixed_window_sweep(const SweepSpec&) with designated initializers")]]
-[[nodiscard]] std::vector<WindowSweepPoint> fixed_window_sweep(
-    const SimulatorCase& scase, AttackKind attack, const std::vector<std::size_t>& windows,
-    std::size_t runs, std::uint64_t base_seed, const MetricsOptions& options = {},
-    std::size_t threads = 0);
 
 }  // namespace awd::core

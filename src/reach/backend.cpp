@@ -8,7 +8,6 @@
 #include "core/ckpt.hpp"
 #include "obs/metrics.hpp"
 #include "reach/deadline.hpp"
-#include "reach/ellipsoid.hpp"
 #include "reach/table.hpp"
 
 namespace awd::reach {
@@ -66,12 +65,10 @@ std::uint64_t spec_fingerprint(const BackendSpec& spec) {
   w.u64(spec.deadline.budget_steps);
   // Kind-conditional knobs: a box spec's fingerprint must not move when an
   // unused grid knob changes, or per-family sharing would fragment.
-  const bool reads_ellipsoid =
-      spec.kind == BackendKind::kEllipsoid ||
-      (spec.kind == BackendKind::kTable && spec.table.source == BackendKind::kEllipsoid);
-  if (reads_ellipsoid) w.f64(spec.ellipsoid.inflation);
   if (spec.kind == BackendKind::kTable) {
-    w.u8(static_cast<std::uint8_t>(spec.table.source));
+    // The byte that named the table's source backend; box is the only
+    // source, and hashing its kind keeps every fingerprint stable.
+    w.u8(static_cast<std::uint8_t>(BackendKind::kBox));
     w.u64(spec.table.cells_per_dim);
     hash_box(w, spec.table.domain);
   }
@@ -148,57 +145,6 @@ void Backend::serialize(core::ckpt::Writer& w) const {
   w.u64(config_.budget_steps);
 }
 
-CachedWalkBackend::CachedWalkBackend(const models::DiscreteLti& model, Box u_range,
-                                     double eps, Box safe_set, DeadlineConfig config,
-                                     std::uint64_t fingerprint)
-    : Backend(std::move(safe_set), config, model.state_dim(), fingerprint),
-      reach_(model, std::move(u_range), eps, config.max_window) {}
-
-void CachedWalkBackend::finalize_table_() {
-  const std::size_t n = dim_;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  table_.dim = n;
-  std::vector<double> rows, drifts, step_spreads, los, his;
-  for (std::size_t t = 1; t <= config_.max_window; ++t) {
-    rows.clear();
-    drifts.clear();
-    step_spreads.clear();
-    los.clear();
-    his.clear();
-    const Vec& spread = spreads_.at(t - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Interval& s = safe_[i];
-      if (s.lo == -kInf && s.hi == kInf) continue;
-      const Vec row = reach_.a_power(t).row_vec(i);
-      rows.insert(rows.end(), row.begin(), row.end());
-      drifts.push_back(reach_.cum_drift(t)[i]);
-      step_spreads.push_back(spread[i]);
-      los.push_back(s.lo);
-      his.push_back(s.hi);
-    }
-    table_.push_step(rows.data(), drifts.data(), step_spreads.data(), los.data(),
-                     his.data(), drifts.size());
-  }
-}
-
-std::size_t CachedWalkBackend::walk_(const Vec& x0, std::size_t cap,
-                                     bool& resolved) const noexcept {
-  // R̄ ∩ F = ∅  ⟺  R̄ ⊆ S when F is the complement of the safe box S, so
-  // the search tests containment step by step (Fig. 2), reading the
-  // precomputed per-step terms instead of re-running the reach recursion.
-  // The kernel reports the first *failing* reach step t; the deadline is
-  // the last trusted step before it.
-  const std::size_t t = linalg::kernels::support_walk(table_, x0.data(), cap, resolved);
-  if (!resolved) return cap;
-#ifdef AWD_MUT_DEADLINE_OFF_BY_ONE
-  // [mutation-smoke seeded bug] reports the first *unsafe* step as the
-  // deadline — one step more than the plant can actually be trusted.
-  return t;
-#else
-  return t - 1;
-#endif
-}
-
 core::Result<std::unique_ptr<Backend>> make_backend(const BackendSpec& spec) {
   using core::Status;
   using core::StatusCode;
@@ -227,38 +173,22 @@ core::Result<std::unique_ptr<Backend>> make_backend(const BackendSpec& spec) {
   if (spec.deadline.max_window == 0) {
     return Status{StatusCode::kInvalidInput, "make_backend: max_window must be >= 1"};
   }
-  switch (spec.kind) {
-    case BackendKind::kBox:
-    case BackendKind::kEllipsoid:
-    case BackendKind::kTable: break;
-    default:
-      return Status{StatusCode::kInvalidInput, "make_backend: unknown backend kind"};
-  }
-  if (spec.kind == BackendKind::kEllipsoid &&
-      !(spec.ellipsoid.inflation >= 0.0)) {
-    return Status{StatusCode::kInvalidInput,
-                  "make_backend: ellipsoid inflation must be >= 0"};
+  // Kind 1 (the retired ellipsoid backend) is rejected with the unknown kinds.
+  if (spec.kind != BackendKind::kBox && spec.kind != BackendKind::kTable) {
+    return Status{StatusCode::kInvalidInput, "make_backend: unknown backend kind"};
   }
   try {
-    switch (spec.kind) {
-      case BackendKind::kBox:
-        return std::unique_ptr<Backend>(new BoxBackend(
-            spec.model, spec.u_range, spec.eps, spec.safe_set, spec.deadline));
-      case BackendKind::kEllipsoid:
-        return std::unique_ptr<Backend>(
-            new EllipsoidBackend(spec.model, spec.u_range, spec.eps, spec.safe_set,
-                                 spec.deadline, spec.ellipsoid));
-      case BackendKind::kTable: {
-        core::Result<DeadlineTable> table = build_table(spec);
-        if (!table.is_ok()) return table.status();
-        return make_table_backend(spec, std::move(table).value());
-      }
+    if (spec.kind == BackendKind::kTable) {
+      core::Result<DeadlineTable> table = build_table(spec);
+      if (!table.is_ok()) return table.status();
+      return make_table_backend(spec, std::move(table).value());
     }
+    return std::unique_ptr<Backend>(new BoxBackend(spec.model, spec.u_range, spec.eps,
+                                                   spec.safe_set, spec.deadline));
   } catch (const std::exception&) {
     return Status{StatusCode::kInvalidInput,
                   "make_backend: backend construction rejected its inputs"};
   }
-  return Status{StatusCode::kInvalidInput, "make_backend: unknown backend kind"};
 }
 
 }  // namespace awd::reach

@@ -7,17 +7,12 @@
 // `estimate(x0)` (throwing, setup/validation contexts) and
 // `estimate_checked(x0)` (noexcept hot path with budget semantics) — and
 // carries a config fingerprint plus a `name()` for obs/forensics
-// attribution.  Three implementations ship:
+// attribution.  Two implementations ship:
 //
-//   * BoxBackend       (reach/deadline.hpp)  — the cached box
-//     support-function walk, bit-identical to the historical
-//     DeadlineEstimator (ULP bound 0 against estimate_uncached).
-//   * EllipsoidBackend (reach/ellipsoid.hpp) — outer-ellipsoid bounds via a
-//     deterministic hand-rolled trace-optimal Minkowski recursion (no LMI
-//     solver); per-dim widths dominate the box spreads, so its deadline is
-//     conservatively <= the box deadline.
-//   * TableBackend     (reach/table.hpp)     — O(1) clamped nearest-cell
-//     lookup into an offline-precomputed deadline grid (tools/awd_reach),
+//   * BoxBackend   (reach/deadline.hpp) — the paper's cached box
+//     support-function walk (ULP bound 0 against estimate_uncached).
+//   * TableBackend (reach/table.hpp)    — O(1) clamped nearest-cell lookup
+//     into an offline-precomputed grid of box deadlines (tools/awd_reach),
 //     shipped through the core::ckpt codec with fingerprint/CRC framing.
 //
 // The base class owns the shared estimate / estimate_checked logic (seed
@@ -31,10 +26,8 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <vector>
 
 #include "core/status.hpp"
-#include "linalg/kernels.hpp"
 #include "reach/reach.hpp"
 
 namespace awd::core::ckpt {
@@ -55,15 +48,17 @@ struct DeadlineConfig {
   std::size_t budget_steps = 0;
 };
 
-/// The reachability math a backend runs on.
+/// The reachability math a backend runs on.  The values are wire bytes:
+/// they are hashed into spec fingerprints and stored in snapshots and table
+/// images.
 enum class BackendKind : std::uint8_t {
   kBox = 0,        ///< cached box support-function walk (§3.2 exact per-dim bounds)
-  kEllipsoid = 1,  ///< outer-ellipsoid Minkowski recursion (conservative)
+  kEllipsoid = 1,  ///< retired and reserved: make_backend rejects it
   kTable = 2,      ///< precomputed deadline grid, clamped nearest-cell lookup
 };
 
-/// Printable backend name ("box", "ellipsoid", "table") — the obs/forensics
-/// attribution tag.
+/// Printable backend name ("box", "table"; "ellipsoid" names the retired
+/// kind) — the obs/forensics attribution tag.
 [[nodiscard]] constexpr std::string_view to_string(BackendKind kind) noexcept {
   switch (kind) {
     case BackendKind::kBox: return "box";
@@ -73,16 +68,6 @@ enum class BackendKind : std::uint8_t {
   return "unknown";
 }
 
-/// EllipsoidBackend tunables.
-struct EllipsoidConfig {
-  /// Relative slack applied to every ellipsoid half-width.  The recursion's
-  /// widths dominate the box spreads in exact arithmetic; this covers
-  /// floating-point ties in the degenerate cases (scalar plants, single
-  /// generators) so the conservatism contract `ellipsoid >= box` holds
-  /// bitwise as well.
-  double inflation = 1e-9;
-};
-
 /// TableBackend grid shape.
 struct TableGridConfig {
   std::size_t cells_per_dim = 8;  ///< uniform cell count per state dimension
@@ -91,8 +76,6 @@ struct TableGridConfig {
   /// best-effort contract; the clamped answer is the conservative answer for
   /// the nearest covered state).
   Box domain;
-  /// Backend whose deadlines the cells conservatively lower-bound.
-  BackendKind source = BackendKind::kBox;
 };
 
 /// Everything needed to build any backend — the factory input.
@@ -103,13 +86,12 @@ struct BackendSpec {
   double eps = 0.0;           ///< uncertainty ball radius ε
   Box safe_set;               ///< safe state box S (dims may be unbounded)
   DeadlineConfig deadline;
-  EllipsoidConfig ellipsoid;  ///< read when kind (or table.source) is kEllipsoid
-  TableGridConfig table;      ///< read when kind is kTable
+  TableGridConfig table;  ///< read when kind is kTable
 };
 
 /// FNV-1a fingerprint over every spec field that can change a backend's
 /// answers (model matrices, input box, ε, safe set, deadline config, plus
-/// the ellipsoid / table knobs when the kind reads them).  Two specs with
+/// the grid knobs when the kind is kTable).  Two specs with
 /// equal fingerprints produce interchangeable backends — this is the
 /// per-family sharing key in serve::StreamEngine and the identity stamped
 /// into precomputed table files.
@@ -201,44 +183,10 @@ class Backend {
   std::uint64_t fingerprint_ = 0;
 };
 
-/// Shared machinery of the walk-based backends (box, ellipsoid): a
-/// ReachSystem for the x0-dependent affine part, per-step x0-independent
-/// spread vectors supplied by the concrete ctor, and the flattened
-/// linalg::kernels::SupportTable the cached walk runs on.
-class CachedWalkBackend : public Backend {
- public:
-  [[nodiscard]] const ReachSystem& reach() const noexcept { return reach_; }
-
-  /// Cached per-dimension spread at step t in [1, max_window] (full state
-  /// dimension, including unconstrained dims).  The soundness differential
-  /// asserts the ellipsoid's spreads dominate the box's.
-  [[nodiscard]] const Vec& step_spread(std::size_t t) const { return spreads_.at(t - 1); }
-
- protected:
-  /// Validates dimensions/config and builds the ReachSystem; the concrete
-  /// ctor fills spreads_ (one n-vector per step t in [1, max_window]) and
-  /// then calls finalize_table_().
-  CachedWalkBackend(const models::DiscreteLti& model, Box u_range, double eps,
-                    Box safe_set, DeadlineConfig config, std::uint64_t fingerprint);
-
-  /// Flatten spreads_ + the safe set + cached drift/A^t rows into the
-  /// SupportTable, dropping dimensions the safe set leaves unconstrained
-  /// (they can never fail).  The checks replicate the reach_box arithmetic
-  /// exactly, so the cached walk is bit-identical to the uncached recursion
-  /// on every kernel set.
-  void finalize_table_();
-
-  [[nodiscard]] std::size_t walk_(const Vec& x0, std::size_t cap,
-                                  bool& resolved) const noexcept override;
-
-  ReachSystem reach_;
-  std::vector<Vec> spreads_;             ///< [t-1] → per-dim spread at step t
-  linalg::kernels::SupportTable table_;  ///< step t-1 → constrained-dim checks
-};
-
 /// Build the backend `spec` describes.  Validates every field (dimension
-/// mismatches, unbounded u_range, negative radii, degenerate table grids)
-/// and returns kInvalidInput instead of throwing; kTable additionally runs
+/// mismatches, unbounded u_range, negative radii, degenerate table grids,
+/// the retired kind kEllipsoid) and returns kInvalidInput instead of
+/// throwing; kTable additionally runs
 /// the offline grid precompute (see reach/table.hpp to load a shipped table
 /// instead).
 [[nodiscard]] core::Result<std::unique_ptr<Backend>> make_backend(const BackendSpec& spec);

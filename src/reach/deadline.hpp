@@ -23,11 +23,11 @@
 //
 // BoxBackend is one implementation of the reach::Backend interface
 // (reach/backend.hpp); prefer reach::make_backend() to construct backends
-// from a BackendSpec.  The historical `DeadlineEstimator` name survives as
-// a [[deprecated]] constructor shim below.
+// from a BackendSpec.
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "core/status.hpp"
 #include "linalg/kernels.hpp"
@@ -38,8 +38,8 @@ namespace awd::reach {
 
 /// Reachability-based detection-deadline estimator on the cached box
 /// support-function walk — the paper's construction, and the reference
-/// backend every other implementation's conservatism is measured against.
-class BoxBackend : public CachedWalkBackend {
+/// backend the table backend's conservatism is measured against.
+class BoxBackend final : public Backend {
  public:
   /// @param model    discrete plant dynamics
   /// @param u_range  admissible control box U (bounded)
@@ -63,22 +63,26 @@ class BoxBackend : public CachedWalkBackend {
   /// True iff R̄(x0, t) stays inside the safe set (conservative safety,
   /// Def. 3.1) — exposed for tests and analysis tooling.
   [[nodiscard]] bool conservatively_safe_at(const Vec& x0, std::size_t t) const;
-};
 
-/// Historical name of the box backend.  The type survives so existing
-/// declarations keep meaning "the box estimator", but direct construction is
-/// deprecated: build backends through reach::make_backend() (or BoxBackend
-/// when the concrete type is genuinely required).
-class DeadlineEstimator final : public BoxBackend {
- public:
-  [[deprecated(
-      "construct deadline backends via reach::make_backend(BackendSpec) "
-      "(or reach::BoxBackend directly)")]] DeadlineEstimator(const models::DiscreteLti&
-                                                                 model,
-                                                             Box u_range, double eps,
-                                                             Box safe_set,
-                                                             DeadlineConfig config)
-      : BoxBackend(model, std::move(u_range), eps, std::move(safe_set), config) {}
+  [[nodiscard]] const ReachSystem& reach() const noexcept { return reach_; }
+
+  /// The per-step containment checks the cached walk runs on, with each
+  /// constrained dimension i's spread at step t widened by
+  /// Σ_j |A^t_{i,j}| · half_width[j] (empty = unwidened, the walk's own
+  /// table).  A walk over the widened checks at a point c is safe only if
+  /// the unwidened walk is safe everywhere in the box c ± half_width — the
+  /// deadline table's per-cell conservatism (reach/table.hpp).
+  [[nodiscard]] linalg::kernels::SupportTable widened_table(
+      const std::vector<double>& half_width) const;
+
+ private:
+  [[nodiscard]] std::size_t walk_(const Vec& x0, std::size_t cap,
+                                  bool& resolved) const noexcept override;
+
+  ReachSystem reach_;
+  /// [t-1] → x0-independent per-dim spread at step t (full state dimension).
+  std::vector<Vec> spreads_;
+  linalg::kernels::SupportTable table_;  ///< step t-1 → constrained-dim checks
 };
 
 }  // namespace awd::reach

@@ -57,7 +57,7 @@ class ReachSystem {
 
   // Read access to the precomputed x0-independent tables (all indexed by
   // step t in [0, horizon]; throw std::out_of_range beyond the horizon).
-  // The DeadlineEstimator flattens these into its per-step containment
+  // BoxBackend flattens these into its per-step containment
   // cache instead of re-deriving them.
 
   /// A^t from the power cache.

@@ -1,13 +1,11 @@
 #include "reach/table.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "core/ckpt.hpp"
 #include "reach/deadline.hpp"
-#include "reach/ellipsoid.hpp"
 
 namespace awd::reach {
 
@@ -34,11 +32,6 @@ core::Status validate_grid_shape(const BackendSpec& spec) {
   if (spec.kind != BackendKind::kTable) {
     return Status{StatusCode::kInvalidInput, "deadline table: spec kind must be kTable"};
   }
-  if (spec.table.source != BackendKind::kBox &&
-      spec.table.source != BackendKind::kEllipsoid) {
-    return Status{StatusCode::kInvalidInput,
-                  "deadline table: source must be the box or ellipsoid backend"};
-  }
   const std::size_t n = spec.model.state_dim();
   const Box& domain = spec.table.domain;
   if (domain.dim() != n) {
@@ -63,11 +56,11 @@ core::Status validate_grid_shape(const BackendSpec& spec) {
   return Status::ok();
 }
 
-/// The spec of the backend a table's cells lower-bound: same plant and
-/// deadline config, kind flipped to the table's source.
+/// The spec of the box backend a table's cells lower-bound: same plant and
+/// deadline config, kind flipped to kBox.
 BackendSpec source_variant(const BackendSpec& spec) {
   BackendSpec source = spec;
-  source.kind = spec.table.source;
+  source.kind = BackendKind::kBox;
   return source;
 }
 
@@ -81,17 +74,12 @@ core::Result<DeadlineTable> build_table(const BackendSpec& spec) {
   const BackendSpec src_spec = source_variant(spec);
   core::Result<std::unique_ptr<Backend>> src = make_backend(src_spec);
   if (!src.is_ok()) return src.status();
-  const auto* walker = dynamic_cast<const CachedWalkBackend*>(src.value().get());
-  if (walker == nullptr) {
-    return Status{StatusCode::kInvalidInput,
-                  "deadline table: source backend is not walk-based"};
-  }
+  const auto& walker = static_cast<const BoxBackend&>(*src.value());
 
   const std::size_t n = spec.model.state_dim();
   const std::size_t w_m = spec.deadline.max_window;
   DeadlineTable table;
   table.source_fingerprint = spec_fingerprint(src_spec);
-  table.source = spec.table.source;
   table.dim = n;
   table.max_window = w_m;
   table.domain = spec.table.domain;
@@ -103,40 +91,11 @@ core::Result<DeadlineTable> build_table(const BackendSpec& spec) {
                     static_cast<double>(table.cells[d]);
   }
 
-  // Per-cell conservative deadline = the source walk at the cell center
-  // with each spread inflated by the worst-case center distance
+  // Per-cell conservative deadline = the box walk at the cell center with
+  // each spread inflated by the worst-case center distance
   // infl_i(t) = Σ_j |A^t_{i,j}| h_j / 2 — see the file-header contract.
   // The inflated checks reuse the same SupportTable kernel as live serving.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const ReachSystem& reach = walker->reach();
-  const Box& safe = walker->safe_set();
-  linalg::kernels::SupportTable inflated;
-  inflated.dim = n;
-  {
-    std::vector<double> rows, drifts, spreads, los, his;
-    for (std::size_t t = 1; t <= w_m; ++t) {
-      rows.clear();
-      drifts.clear();
-      spreads.clear();
-      los.clear();
-      his.clear();
-      const Vec& spread = walker->step_spread(t);
-      for (std::size_t i = 0; i < n; ++i) {
-        const Interval& s = safe[i];
-        if (s.lo == -kInf && s.hi == kInf) continue;
-        const Vec row = reach.a_power(t).row_vec(i);
-        double infl = 0.0;
-        for (std::size_t j = 0; j < n; ++j) infl += std::fabs(row[j]) * half_width[j];
-        rows.insert(rows.end(), row.begin(), row.end());
-        drifts.push_back(reach.cum_drift(t)[i]);
-        spreads.push_back(spread[i] + infl);
-        los.push_back(s.lo);
-        his.push_back(s.hi);
-      }
-      inflated.push_step(rows.data(), drifts.data(), spreads.data(), los.data(),
-                         his.data(), drifts.size());
-    }
-  }
+  const linalg::kernels::SupportTable inflated = walker.widened_table(half_width);
 
   const std::size_t total = cell_product(table.cells);
   table.deadlines.resize(total);
@@ -160,7 +119,7 @@ core::Result<DeadlineTable> build_table(const BackendSpec& spec) {
 std::vector<std::uint8_t> encode_table(const DeadlineTable& table) {
   core::ckpt::SnapshotBuilder builder;
   core::ckpt::Writer& meta = builder.section(kMetaSection);
-  meta.u8(static_cast<std::uint8_t>(table.source));
+  meta.u8(static_cast<std::uint8_t>(BackendKind::kBox));  // source backend kind
   meta.u64(table.source_fingerprint);
   meta.u64(table.dim);
   meta.u64(table.max_window);
@@ -199,11 +158,11 @@ core::Result<DeadlineTable> decode_table(const std::uint8_t* data, std::size_t s
       !meta.u64(max_window)) {
     return meta.status();
   }
-  if (source > static_cast<std::uint8_t>(BackendKind::kEllipsoid) || dim == 0 ||
+  // Box is the only source backend a table can lower-bound.
+  if (source != static_cast<std::uint8_t>(BackendKind::kBox) || dim == 0 ||
       max_window == 0 || max_window > kMaxTableWindow) {
     return Status{StatusCode::kDataLoss, "deadline table: malformed meta section"};
   }
-  table.source = static_cast<BackendKind>(source);
   table.source_fingerprint = source_fp;
   table.dim = static_cast<std::size_t>(dim);
   table.max_window = static_cast<std::size_t>(max_window);
@@ -264,8 +223,7 @@ core::Result<std::unique_ptr<Backend>> make_table_backend(const BackendSpec& spe
   using core::StatusCode;
   if (Status s = validate_grid_shape(spec); !s.is_ok()) return s;
   const std::size_t n = spec.model.state_dim();
-  if (table.dim != n || table.max_window != spec.deadline.max_window ||
-      table.source != spec.table.source) {
+  if (table.dim != n || table.max_window != spec.deadline.max_window) {
     return Status{StatusCode::kInvalidInput,
                   "deadline table: table shape does not match the spec"};
   }

@@ -13,7 +13,7 @@
 // distance,  infl_i(t) = Σ_j |A^t_{i,j}| h_j / 2  (h = cell widths): for
 // any x in the cell, |row_i(A^t)·x − row_i(A^t)·center| <= infl_i(t), so a
 // containment check that passes inflated-at-center passes un-inflated at
-// every x in the cell.  Hence  table(cell) <= source-backend deadline at
+// every x in the cell.  Hence  table(cell) <= box deadline at
 // every x inside the cell — the table never over-states how long the plant
 // can be trusted.  Queries outside the domain are clamped per dimension to
 // the boundary cell (documented best-effort: the answer is the
@@ -21,7 +21,7 @@
 //
 // Shipping format.  encode_table() frames the grid through the core::ckpt
 // codec (magic / format version / fingerprint / per-section CRC32), with
-// the *source backend's* config fingerprint in the header so a table is
+// the *box source backend's* config fingerprint in the header so a table is
 // rejected at load when it was precomputed for a different plant, safe
 // set, ε, horizon or grid — decode_table() and make_table_backend()
 // validate all of it before a cell is ever served.
@@ -40,8 +40,7 @@ namespace awd::reach {
 /// one conservative deadline (u16 steps) per cell, row-major with the last
 /// dimension fastest.
 struct DeadlineTable {
-  std::uint64_t source_fingerprint = 0;        ///< spec_fingerprint of the source backend
-  BackendKind source = BackendKind::kBox;      ///< backend the cells lower-bound
+  std::uint64_t source_fingerprint = 0;        ///< spec_fingerprint of the box source
   std::size_t dim = 0;                         ///< state dimension
   std::size_t max_window = 0;                  ///< w_m the cells are capped at
   Box domain;                                  ///< bounded trusted-state box
@@ -50,8 +49,7 @@ struct DeadlineTable {
 };
 
 /// Offline precompute: build the grid `spec.table` describes by walking the
-/// source backend (spec.table.source — box or ellipsoid) at every cell
-/// center with cell-width-inflated spreads.  `spec.kind` must be kTable.
+/// box backend at every cell center with cell-width-inflated spreads.  `spec.kind` must be kTable.
 /// Validates the grid shape (bounded domain, per-dim lo < hi, cell count in
 /// [1, kMaxTableCells] total, max_window <= kMaxTableWindow).
 [[nodiscard]] core::Result<DeadlineTable> build_table(const BackendSpec& spec);
@@ -73,7 +71,7 @@ struct DeadlineTable {
 /// Wrap a (freshly built or decoded) table as a serving backend for `spec`.
 /// Cross-checks the table against the spec — dimension, horizon, grid
 /// shape, and that table.source_fingerprint matches the fingerprint of the
-/// spec's source-backend variant — so a stale or foreign table is rejected
+/// spec's box variant — so a stale or foreign table is rejected
 /// instead of served.
 [[nodiscard]] core::Result<std::unique_ptr<Backend>> make_table_backend(
     const BackendSpec& spec, DeadlineTable table);

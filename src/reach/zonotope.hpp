@@ -7,7 +7,7 @@
 // and Minkowski sums), so they track those correlations exactly; only the
 // disturbance ball is relaxed to its bounding box.  This module implements
 // the classic zonotope propagation with Girard order reduction, plus a
-// deadline estimator with the same interface as reach::DeadlineEstimator,
+// deadline estimator with the same interface as reach::BoxBackend,
 // so `bench_ablation` can quantify what the paper's box simplification
 // costs in deadline tightness.
 //
@@ -103,7 +103,7 @@ class ZonotopeReach {
 };
 
 /// Deadline estimator backed by zonotope reachability (same semantics as
-/// reach::DeadlineEstimator; tighter sets can only lengthen the deadline).
+/// reach::BoxBackend; tighter sets can only lengthen the deadline).
 class ZonotopeDeadlineEstimator {
  public:
   ZonotopeDeadlineEstimator(const models::DiscreteLti& model, Box u_range, double eps,

@@ -141,21 +141,6 @@ core::Result<std::vector<std::uint8_t>> StreamEngine::checkpoint() const {
   }
   std::sort(running_ids.begin(), running_ids.end());
 
-  // An opaque estimator factory cannot round-trip through bytes; refuse up
-  // front rather than restore a stream that would silently run a different
-  // estimator.
-  constexpr core::Status kOpaque{
-      core::StatusCode::kUnimplemented,
-      "stream with a custom make_estimator factory cannot be checkpointed"};
-  for (const StreamId id : running_ids) {
-    const auto& loc = running_.at(id);
-    if (shards_[loc.first].slots[loc.second]->spec.options.make_estimator) return kOpaque;
-  }
-  for (const auto& [id, spec] : pending_) {
-    (void)id;
-    if (spec.options.make_estimator) return kOpaque;
-  }
-
   ckpt::SnapshotBuilder builder;
   ckpt::Writer fp;  // fingerprint input: policy bytes, then every spec block
   write_policy(fp, options_);

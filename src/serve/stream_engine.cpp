@@ -32,7 +32,6 @@ struct ServeObs {
   obs::Gauge& dumps_written;
   obs::Gauge& dumps_skipped;
   obs::Gauge& backends_box;
-  obs::Gauge& backends_ellipsoid;
   obs::Gauge& backends_table;
 
   static ServeObs& get() {
@@ -67,8 +66,6 @@ struct ServeObs {
                                       "dump triggers on undumpable streams"),
         obs::Registry::global().gauge("awd_serve_backends_box",
                                       "cached box deadline backends"),
-        obs::Registry::global().gauge("awd_serve_backends_ellipsoid",
-                                      "cached ellipsoid deadline backends"),
         obs::Registry::global().gauge("awd_serve_backends_table",
                                       "cached precomputed-table deadline backends"),
     };
@@ -463,13 +460,6 @@ core::Result<std::vector<std::uint8_t>> StreamEngine::encode_slot_dump_(
     const Shard& shard, std::size_t shard_index, std::size_t slot, DumpReason reason,
     std::uint64_t trigger_step) const {
   const StreamRuntime& stream = *shard.slots[slot];
-  if (stream.spec.options.make_estimator) {
-    // Mirrors checkpoint(): an opaque factory cannot round-trip, so the
-    // dump could never be replayed — refuse instead of lying.
-    return core::Status{core::StatusCode::kUnimplemented,
-                        "stream with a custom make_estimator factory cannot be "
-                        "dumped for replay"};
-  }
   const obs::FlightRecorder* recorder =
       slot < shard.recorders.size() ? shard.recorders[slot].get() : nullptr;
   if (recorder == nullptr) {
@@ -590,11 +580,8 @@ EngineIntrospection StreamEngine::introspect() const {
   intro.dumps_skipped = dumps_skipped_;
   for (const auto& [key, backend] : estimator_cache_) {
     (void)key;
-    switch (backend->kind()) {
-      case reach::BackendKind::kBox: ++intro.backends_box; break;
-      case reach::BackendKind::kEllipsoid: ++intro.backends_ellipsoid; break;
-      case reach::BackendKind::kTable: ++intro.backends_table; break;
-    }
+    ++(backend->kind() == reach::BackendKind::kTable ? intro.backends_table
+                                                      : intro.backends_box);
   }
   intro.shard_info.reserve(shards_.size());
   for (const Shard& shard : shards_) {
@@ -637,7 +624,6 @@ void StreamEngine::publish_introspection_() const {
   ob.dumps_written.set(static_cast<std::int64_t>(dumps_written_));
   ob.dumps_skipped.set(static_cast<std::int64_t>(dumps_skipped_));
   ob.backends_box.set(static_cast<std::int64_t>(intro.backends_box));
-  ob.backends_ellipsoid.set(static_cast<std::int64_t>(intro.backends_ellipsoid));
   ob.backends_table.set(static_cast<std::int64_t>(intro.backends_table));
 }
 
@@ -657,7 +643,6 @@ std::string introspection_json(const EngineIntrospection& intro) {
       << "  \"dumps_written\": " << intro.dumps_written << ",\n"
       << "  \"dumps_skipped\": " << intro.dumps_skipped << ",\n"
       << "  \"backends\": {\"box\": " << intro.backends_box
-      << ", \"ellipsoid\": " << intro.backends_ellipsoid
       << ", \"table\": " << intro.backends_table << "},\n"
       << "  \"shard_info\": [";
   for (std::size_t i = 0; i < intro.shard_info.size(); ++i) {

@@ -194,7 +194,6 @@ struct EngineIntrospection {
   // Shared deadline backends cached per reach::BackendKind — how the
   // engine's plant families resolved their deadline strategy.
   std::size_t backends_box = 0;       ///< cached box-walk backends
-  std::size_t backends_ellipsoid = 0; ///< cached ellipsoid backends
   std::size_t backends_table = 0;     ///< cached precomputed-table backends
 };
 
@@ -246,9 +245,7 @@ class StreamEngine {
 
   /// Encode a running stream's flight recorder as a .awdfr dump image now.
   ///   * kOutOfRange     — unknown or not-running id;
-  ///   * kUnavailable    — recording disabled (flight_recorder_depth 0);
-  ///   * kUnimplemented  — the stream carries an opaque make_estimator
-  ///                       factory, so a dump could not be replayed.
+  ///   * kUnavailable    — recording disabled (flight_recorder_depth 0).
   [[nodiscard]] core::Result<std::vector<std::uint8_t>> dump_stream(
       StreamId id, DumpReason reason = DumpReason::kManual) const;
 
@@ -272,9 +269,7 @@ class StreamEngine {
   /// DESIGN.md §13).  The shard layout is deliberately NOT part of the
   /// snapshot: restore() re-partitions streams across whatever shard count
   /// the restoring engine runs, and every stream continues bit-identically
-  /// (streams share no mutable state).  Returns kUnimplemented when any
-  /// stream carries a custom make_estimator factory — an opaque
-  /// std::function cannot be serialized.
+  /// (streams share no mutable state).
   [[nodiscard]] core::Result<std::vector<std::uint8_t>> checkpoint() const;
 
   /// Rebuild the engine's state from a snapshot produced by checkpoint().
@@ -410,7 +405,7 @@ class StreamEngine {
   /// Publish the introspection tallies as awd_serve_* gauges.
   void publish_introspection_() const;
   /// Encode one slot's recorder as a dump image (shared by the automatic,
-  /// manual and crash paths).  kUnimplemented for make_estimator streams.
+  /// manual and crash paths).
   [[nodiscard]] core::Result<std::vector<std::uint8_t>> encode_slot_dump_(
       const Shard& shard, std::size_t shard_index, std::size_t slot,
       DumpReason reason, std::uint64_t trigger_step) const;
@@ -438,7 +433,7 @@ class StreamEngine {
 };
 
 /// Render an introspection snapshot as a JSON object — the status document
-/// a future network daemon serves (ROADMAP open item 2).
+/// a network daemon would serve.
 [[nodiscard]] std::string introspection_json(const EngineIntrospection& intro);
 
 }  // namespace awd::serve

@@ -1,37 +1,11 @@
 #include "sim/estimator.hpp"
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
-#include <utility>
 
 namespace awd::sim {
 
-namespace {
-double checked_positive(double v, const char* what) {
-  if (v <= 0.0) {
-    throw std::invalid_argument(std::string("FilteringEstimator: ") + what +
-                                " must be positive");
-  }
-  return v;
-}
-}  // namespace
-
-core::Result<Vec> Estimator::estimate_checked(const std::optional<Vec>& measurement,
-                                              const Vec& u_prev) {
-  if (!measurement) {
-    return core::Status{core::StatusCode::kUnavailable,
-                        "Estimator: no sample delivered this period"};
-  }
-  if (!measurement->is_finite()) {
-    return core::Status{core::StatusCode::kInvalidInput,
-                        "Estimator: non-finite measurement rejected"};
-  }
-  return estimate(*measurement, u_prev);
-}
-
 core::Status Estimator::estimate_checked_into(const std::optional<Vec>& measurement,
-                                              const Vec& u_prev, Vec& out) {
+                                              Vec& out) const {
   if (!measurement) {
     return {core::StatusCode::kUnavailable,
             "Estimator: no sample delivered this period"};
@@ -40,69 +14,16 @@ core::Status Estimator::estimate_checked_into(const std::optional<Vec>& measurem
     return {core::StatusCode::kInvalidInput,
             "Estimator: non-finite measurement rejected"};
   }
-  estimate_into(*measurement, u_prev, out);
+  out = *measurement;
   return core::Status::ok();
 }
 
-FilteringEstimator::FilteringEstimator(const models::DiscreteLti& model, double q,
-                                       double r, Vec x0)
-    : filter_(model, linalg::Matrix::identity(model.state_dim()),
-              linalg::Matrix::identity(model.state_dim()) *
-                  checked_positive(q, "process covariance"),
-              linalg::Matrix::identity(model.state_dim()) *
-                  checked_positive(r, "measurement covariance"),
-              x0),
-      x0_(std::move(x0)) {}
-
-Vec FilteringEstimator::estimate(const Vec& measurement, const Vec& u_prev) {
-  if (first_) {
-    // No previous input yet; initialize the filter state directly from the
-    // first measurement.
-    first_ = false;
-    filter_.reset(measurement);
-    return measurement;
-  }
-  return filter_.update(measurement, u_prev);
-}
-
-void FilteringEstimator::reset() {
-  filter_.reset(x0_);
-  first_ = true;
-}
-
-std::unique_ptr<Estimator> FilteringEstimator::clone() const {
-  auto copy = std::make_unique<FilteringEstimator>(*this);
-  return copy;
-}
-
-void FilteringEstimator::serialize_state(core::ckpt::Writer& w) const {
-  w.u8(2);  // Kalman-filter state tag
-  w.b(first_);
-  if (!first_) w.vec(filter_.estimate());
-}
-
-core::Status FilteringEstimator::restore_state(core::ckpt::Reader& r) {
+core::Status Estimator::restore_state(core::ckpt::Reader& r) const {
   std::uint8_t tag = 0;
   if (!r.u8(tag)) return r.status();
-  if (tag != 2) {
-    return core::Status{core::StatusCode::kDataLoss,
-                        "snapshot estimator state tag mismatch"};
+  if (tag != 0) {
+    return {core::StatusCode::kDataLoss, "snapshot estimator state tag mismatch"};
   }
-  bool first = true;
-  if (!r.b(first)) return r.status();
-  if (first) {
-    filter_.reset(x0_);
-    first_ = true;
-    return core::Status::ok();
-  }
-  Vec estimate;
-  if (!r.vec(estimate)) return r.status();
-  if (estimate.size() != x0_.size()) {
-    return core::Status{core::StatusCode::kInvalidInput,
-                        "snapshot filter estimate dimension mismatch"};
-  }
-  filter_.reset(std::move(estimate));
-  first_ = false;
   return core::Status::ok();
 }
 

@@ -1,119 +1,37 @@
-// estimator.hpp — pluggable state-estimation stage for the closed loop.
+// estimator.hpp — the state-estimation stage of the closed loop.
 //
 // The paper assumes the state estimate *is* the received measurement (§2,
-// full observability); PassthroughEstimator implements exactly that and is
-// the simulator's default.  FilteringEstimator routes the measurement
-// through a steady-state Kalman filter instead — the realistic setup when
-// sensors are noisy — so the detection pipeline can be exercised with a
-// proper estimator in the loop (DESIGN.md §6 extension).
-//
-// Note the threat-model subtlety this exposes: the attacker corrupts the
-// *measurement*; a filtering estimator partially absorbs the corruption
-// into its state, which lowers the residual spike the detector sees at
-// attack onset (quantified in sim_estimator_test.cpp).
+// full observability), so the stage is a passthrough.  What it adds is
+// sample validation: a missing or non-finite sample is rejected with a
+// typed Status, and the caller runs its hold-last-value fallback instead of
+// feeding the sample to the controller and the logger.
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "core/ckpt.hpp"
 #include "core/status.hpp"
-#include "models/lti.hpp"
-#include "sim/observer.hpp"
+#include "linalg/vec.hpp"
 
 namespace awd::sim {
 
-/// Measurement → state-estimate stage of the loop.
+using linalg::Vec;
+
+/// Measurement → state-estimate stage of the loop (§2: estimate = measurement).
 class Estimator {
  public:
-  virtual ~Estimator() = default;
-
-  /// Estimate for step t from the (possibly attacked) measurement and the
-  /// previously applied control input.
-  [[nodiscard]] virtual Vec estimate(const Vec& measurement, const Vec& u_prev) = 0;
-
-  /// estimate() into caller-owned storage.  The default adapts estimate();
-  /// hot-path estimators (passthrough) override it allocation-free.  Like
-  /// estimate(), may advance internal state — call once per period.
-  virtual void estimate_into(const Vec& measurement, const Vec& u_prev, Vec& out) {
-    out = estimate(measurement, u_prev);
-  }
-
-  /// Hot-path entry point: validates the sample before estimating, without
-  /// throwing.  Returns kUnavailable when no sample was delivered this
-  /// period (dropout / burst loss) and kInvalidInput when the sample holds
-  /// non-finite values — both signal the caller to run its hold-last-value
-  /// fallback; the estimator's internal state is left untouched so one bad
-  /// period cannot poison subsequent estimates.
-  [[nodiscard]] core::Result<Vec> estimate_checked(const std::optional<Vec>& measurement,
-                                                   const Vec& u_prev);
-
-  /// estimate_checked() into caller-owned storage: same validation and
-  /// fallback contract, but the estimate lands in `out` (untouched on
-  /// error) instead of a freshly allocated Result payload.
+  /// Copies the delivered sample into `out`.  Returns kUnavailable when no
+  /// sample was delivered this period (dropout / burst loss) and
+  /// kInvalidInput when the sample holds non-finite values; `out` is left
+  /// untouched on either error.
   [[nodiscard]] core::Status estimate_checked_into(const std::optional<Vec>& measurement,
-                                                   const Vec& u_prev, Vec& out);
+                                                   Vec& out) const;
 
-  /// Clear internal state for a fresh run.
-  virtual void reset() = 0;
-
-  [[nodiscard]] virtual std::unique_ptr<Estimator> clone() const = 0;
-
-  /// Snapshot hooks (core::ckpt), mirroring Controller's: a one-byte state
-  /// tag then the mutable state.  The defaults serve stateless estimators
-  /// (passthrough); restore_state rejects a foreign tag with kDataLoss.
-  virtual void serialize_state(core::ckpt::Writer& w) const { w.u8(0); }
-  [[nodiscard]] virtual core::Status restore_state(core::ckpt::Reader& r) {
-    std::uint8_t tag = 0;
-    if (!r.u8(tag)) return r.status();
-    if (tag != 0) {
-      return core::Status{core::StatusCode::kDataLoss,
-                          "snapshot estimator state tag mismatch"};
-    }
-    return core::Status::ok();
-  }
-};
-
-/// §2's fully-observable assumption: the estimate is the measurement.
-class PassthroughEstimator final : public Estimator {
- public:
-  [[nodiscard]] Vec estimate(const Vec& measurement, const Vec&) override {
-    return measurement;
-  }
-  void estimate_into(const Vec& measurement, const Vec&, Vec& out) override {
-    out = measurement;
-  }
-  void reset() override {}
-  [[nodiscard]] std::unique_ptr<Estimator> clone() const override {
-    return std::make_unique<PassthroughEstimator>();
-  }
-};
-
-/// Steady-state Kalman filtering of full-state measurements (C = I).
-class FilteringEstimator final : public Estimator {
- public:
-  /// @param model plant dynamics
-  /// @param q     process noise covariance scale (q·I)
-  /// @param r     measurement noise covariance scale (r·I)
-  /// @param x0    initial estimate
-  FilteringEstimator(const models::DiscreteLti& model, double q, double r, Vec x0);
-
-  [[nodiscard]] Vec estimate(const Vec& measurement, const Vec& u_prev) override;
-  void reset() override;
-  [[nodiscard]] std::unique_ptr<Estimator> clone() const override;
-
-  /// Snapshot hooks: tag 2 + the first-step flag and (when past the first
-  /// step) the filter's current estimate.
-  void serialize_state(core::ckpt::Writer& w) const override;
-  [[nodiscard]] core::Status restore_state(core::ckpt::Reader& r) override;
-
-  [[nodiscard]] const linalg::Matrix& gain() const noexcept { return filter_.gain(); }
-
- private:
-  SteadyStateKalmanFilter filter_;
-  Vec x0_;
-  bool first_ = true;
+  /// Snapshot hooks (core::ckpt), mirroring Controller's: the stage is
+  /// stateless, so the image holds only its one-byte state tag (0), and
+  /// restore_state rejects any other tag with kDataLoss.
+  void serialize_state(core::ckpt::Writer& w) const { w.u8(0); }
+  [[nodiscard]] core::Status restore_state(core::ckpt::Reader& r) const;
 };
 
 }  // namespace awd::sim

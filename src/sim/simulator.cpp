@@ -7,12 +7,9 @@
 namespace awd::sim {
 
 Simulator::Simulator(Plant plant, std::unique_ptr<Controller> controller,
-                     std::shared_ptr<const attack::Attack> attack, SimulatorOptions opts,
-                     std::unique_ptr<Estimator> estimator)
+                     std::shared_ptr<const attack::Attack> attack, SimulatorOptions opts)
     : plant_(std::move(plant)),
       controller_(std::move(controller)),
-      estimator_(estimator ? std::move(estimator)
-                           : std::make_unique<PassthroughEstimator>()),
       attack_(std::move(attack)),
       opts_(std::move(opts)),
       rng_(opts_.seed) {
@@ -92,7 +89,7 @@ void Simulator::step_into(StepRecord& rec) {
   // its last value — the only state it can still trust — so the controller
   // keeps acting and the logger keeps a finite stream.
   const core::Status est =
-      estimator_->estimate_checked_into(delivered, prev_control_, rec.estimate);
+      estimator_.estimate_checked_into(delivered, rec.estimate);
   if (!est.is_ok()) {
     rec.estimate_fallback = true;
     rec.sample_missing = !delivered.has_value();
@@ -159,7 +156,7 @@ void Simulator::serialize(core::ckpt::Writer& w) const {
   plant_.serialize(w);
   rng_.serialize(w);
   controller_->serialize_state(w);
-  estimator_->serialize_state(w);
+  estimator_.serialize_state(w);
 }
 
 core::Status Simulator::deserialize(core::ckpt::Reader& r) {
@@ -215,7 +212,7 @@ core::Status Simulator::deserialize(core::ckpt::Reader& r) {
   if (core::Status s = plant_.deserialize(r); !s.is_ok()) return s;
   if (core::Status s = rng_.deserialize(r); !s.is_ok()) return s;
   if (core::Status s = controller_->restore_state(r); !s.is_ok()) return s;
-  if (core::Status s = estimator_->restore_state(r); !s.is_ok()) return s;
+  if (core::Status s = estimator_.restore_state(r); !s.is_ok()) return s;
 
   t_ = static_cast<std::size_t>(t);
   reference_ = std::move(reference);

@@ -88,12 +88,9 @@ class Simulator {
   /// @param controller  control law (owned)
   /// @param attack      sensor attack; shared because attacks are immutable
   /// @param opts        run options
-  /// @param estimator   measurement → estimate stage; defaults to the
-  ///                    paper's passthrough (fully observable) assumption
   /// Throws std::invalid_argument on dimension mismatches.
   Simulator(Plant plant, std::unique_ptr<Controller> controller,
-            std::shared_ptr<const attack::Attack> attack, SimulatorOptions opts,
-            std::unique_ptr<Estimator> estimator = nullptr);
+            std::shared_ptr<const attack::Attack> attack, SimulatorOptions opts);
 
   /// Execute one control period and return the resulting record
   /// (detection fields left at defaults).
@@ -115,10 +112,10 @@ class Simulator {
 
   /// Snapshot hooks (core::ckpt): step counter, active reference and
   /// schedule cursor, previous estimate/control, the clean-measurement
-  /// history (replay/delay attacks), the plant state, the RNG position, and
-  /// the controller/estimator state via their virtual hooks.  deserialize is
-  /// applied to a freshly constructed Simulator of the same configuration
-  /// and validates dimensions and history length against it.
+  /// history (replay/delay attacks), the plant state, the RNG position, the
+  /// controller state via its virtual hooks and the estimator's state tag.
+  /// deserialize is applied to a freshly constructed Simulator of the same
+  /// configuration and validates dimensions and history length against it.
   void serialize(core::ckpt::Writer& w) const;
   [[nodiscard]] core::Status deserialize(core::ckpt::Reader& r);
 
@@ -128,7 +125,7 @@ class Simulator {
  private:
   Plant plant_;
   std::unique_ptr<Controller> controller_;
-  std::unique_ptr<Estimator> estimator_;
+  Estimator estimator_;
   std::shared_ptr<const attack::Attack> attack_;
   SimulatorOptions opts_;
   Rng rng_;

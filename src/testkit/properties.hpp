@@ -10,6 +10,7 @@ namespace awd::testkit::props {
 
 // properties_detect.cpp — logger + adaptive detector (§4.2, §5).
 PropertyResult no_escape_shrink(std::uint64_t seed, const GenLimits& limits);
+PropertyResult sweep_tie_not_an_alarm(std::uint64_t seed, const GenLimits& limits);
 PropertyResult adaptive_matches_reference(std::uint64_t seed, const GenLimits& limits);
 PropertyResult logger_matches_reference(std::uint64_t seed, const GenLimits& limits);
 
@@ -30,7 +31,7 @@ PropertyResult checkpoint_roundtrip(std::uint64_t seed, const GenLimits& limits)
 PropertyResult simd_scalar_differential(std::uint64_t seed, const GenLimits& limits);
 
 // properties_adversarial.cpp — auto-tuner + detector-aware attacks
-// (ROADMAP item 4, DESIGN.md §16).
+// (DESIGN.md §16).
 PropertyResult tuned_far_within_tolerance(std::uint64_t seed, const GenLimits& limits);
 PropertyResult stealthy_ramp_stays_sub_threshold(std::uint64_t seed, const GenLimits& limits);
 PropertyResult adversarial_attack_envelopes(std::uint64_t seed, const GenLimits& limits);

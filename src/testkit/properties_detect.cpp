@@ -1,13 +1,16 @@
 // properties_detect.cpp — oracles for the Data Logger (§5) and the
 // Adaptive Detector (§4.2): the planted-escape Theorem-1 invariant and the
 // bitwise differentials against the flat-history reference implementations.
+#include <cmath>
 #include <cstddef>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "detect/adaptive.hpp"
 #include "detect/logger.hpp"
+#include "detect/window_detector.hpp"
 #include "testkit/properties.hpp"
 #include "testkit/reference.hpp"
 
@@ -105,6 +108,84 @@ PropertyResult no_escape_shrink(std::uint64_t seed, const GenLimits& limits) {
       }
     }
     prev_est = est;
+  }
+  return PropertyResult::pass();
+}
+
+PropertyResult sweep_tie_not_an_alarm(std::uint64_t seed, const GenLimits& limits) {
+  PropRng rng(seed);
+  GenLimits l = limits;
+  l.allow_attack = false;  // the spike is planted directly in the residuals
+  ScenarioOptions opt;
+  opt.allow_budget = false;
+  const Scenario sc = generate_scenario(rng, l, opt);
+  const core::SimulatorCase& c = sc.scase;
+  const std::size_t n = c.model.state_dim();
+  const std::size_t w_m = c.max_window;
+
+  // The no_escape_shrink geometry (shrink w_big -> w_small at T, spike at s
+  // in the escaped region), but with τ[d] set to the spike's mean over a
+  // w_small window.  Every sweep window that covers the spike holds it and
+  // w_small zeros, so each has exactly that mean: the §4.1 test alarms only
+  // when the mean *exceeds* τ, so the sweep must stay silent at the tie and
+  // must alarm once τ[d] is one ulp lower.
+  const std::size_t w_small = rng.chance(0.3) ? 0 : rng.range(0, w_m - 1);
+  const std::size_t w_big = rng.range(w_small + 1, w_m);
+  const std::size_t s = w_big + rng.range(0, 2 * w_m);
+  const std::size_t T =
+      s + (rng.chance(0.4) ? w_big + 1 : rng.range(w_small + 1, w_big + 1));
+  const std::size_t d = rng.below(n);
+  const double m = 1.45 * c.tau[d] * static_cast<double>(w_small + 1);
+
+  DataLogger logger(c.model, w_m);
+  const Vec u(c.model.input_dim());
+  Vec prev_est;
+  Vec tau_tie;
+  Vec tau_below;
+  std::optional<AdaptiveDetector> at_tie;
+  std::optional<AdaptiveDetector> below_tie;
+  for (std::size_t t = 0; t <= T; ++t) {
+    // Residual-exact stream, as in no_escape_shrink.
+    Vec est = (t == 0) ? c.x0 : c.model.step(prev_est, u);
+    if (t == s) est[d] -= m;
+    (void)logger.log(t, est, u);
+    prev_est = est;
+    if (t < s) continue;
+    if (t == s) {
+      tau_tie = c.tau;
+      tau_tie[d] = logger.window_mean(s, w_small)[d];
+      if (!(tau_tie[d] > 0.0)) {
+        return PropertyResult::fail("spike of m=" + std::to_string(m) +
+                                    " left no residual; " + sc.describe());
+      }
+      tau_below = tau_tie;
+      tau_below[d] = std::nextafter(tau_tie[d], 0.0);
+      if (detect::evaluate_window(logger, s, w_small, tau_tie).alarm ||
+          !detect::evaluate_window(logger, s, w_small, tau_below).alarm) {
+        return PropertyResult::fail("window test at s=" + std::to_string(s) +
+                                    " does not split at the tie; " + sc.describe());
+      }
+      at_tie.emplace(tau_tie, w_m);
+      below_tie.emplace(tau_below, w_m);
+    }
+    const std::size_t deadline = (t < T) ? w_big : w_small;
+    const AdaptiveDecision tie = at_tie->step(logger, t, deadline);
+    const AdaptiveDecision below = below_tie->step(logger, t, deadline);
+    if (tie.any_alarm() || (t < T && below.any_alarm())) {
+      std::ostringstream os;
+      os.precision(17);
+      os << "alarm at t=" << t << " with tau[" << d << "]=" << tau_tie[d]
+         << (tie.any_alarm() ? " (the tie)" : " minus one ulp (premature)")
+         << ", spike s=" << s << ", w_big=" << w_big << " -> w_small=" << w_small
+         << " at T=" << T << "; " << sc.describe();
+      return PropertyResult::fail(os.str());
+    }
+    if (t == T && !below.complementary_alarm) {
+      return PropertyResult::fail(
+          "ESCAPE: sweep at T=" + std::to_string(T) + " missed the spike at s=" +
+          std::to_string(s) + " one ulp above tau (w_big=" + std::to_string(w_big) +
+          " -> w_small=" + std::to_string(w_small) + "); " + sc.describe());
+    }
   }
   return PropertyResult::pass();
 }

@@ -36,9 +36,8 @@ const std::vector<Property>& property_catalogue() {
        "lengthens the estimated deadline (soundness is monotone)",
        &props::deadline_monotone_in_uncertainty},
       {"backend_soundness_differential", "§3, DESIGN.md §17",
-       "the ellipsoid backend's per-step spreads dominate the exact box "
-       "spreads and its deadlines never exceed the box walk's; the "
-       "precomputed table never over-promises at in-domain seeds and serves "
+       "the cached box walk equals the uncached recursion; the precomputed "
+       "table never over-promises at in-domain seeds and serves "
        "out-of-domain queries from the nearest covered cell (clamp, not wrap)",
        &props::backend_soundness_differential},
       {"adaptive_equals_fixed_when_pinned", "§4.2 vs §4.1",
@@ -87,6 +86,11 @@ const std::vector<Property>& property_catalogue() {
        "runs are bitwise identical, records stay finite, and run_cell agrees "
        "across thread counts",
        &props::adversarial_pipeline_determinism},
+      {"sweep_tie_not_an_alarm", "§4.1, §4.2.1, Thm. 1",
+       "a spike whose shrunken-window mean sits exactly on tau is not flagged "
+       "by the complementary sweep (alarms need mean > tau), and is flagged "
+       "once tau is one ulp lower",
+       &props::sweep_tie_not_an_alarm},
   };
   return kCatalogue;
 }

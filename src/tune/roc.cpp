@@ -69,7 +69,7 @@ core::Result<RocCurve> roc_sweep(const core::SimulatorCase& scase,
   }
 
   // One deadline backend serves every scale: its tables do not depend on
-  // tau.  The case's configured backend kind (box/ellipsoid/table) applies
+  // tau.  The case's configured backend kind (box/table) applies
   // here too — the ROC is swept with exactly the backend that would serve.
   core::Result<std::unique_ptr<reach::Backend>> built =
       reach::make_backend(core::make_backend_spec(scase, 0.0, 0));

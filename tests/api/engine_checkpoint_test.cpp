@@ -1,20 +1,17 @@
-// Checkpoint/restore acceptance tests (ISSUE: versioned stream checkpoint/
-// restore with elastic resharding).  The contract under test: interrupt a
+// Checkpoint/restore acceptance tests (versioned stream checkpoint/restore
+// with elastic resharding).  The contract under test: interrupt a
 // batch mid-run, checkpoint, restore into a fresh engine with a *different*
 // shard count, continue — and every drained stream must be bitwise equal to
 // the uninterrupted run.  Plus the failure modes: corrupt, truncated and
-// version-mismatched snapshots come back as typed Status errors; streams
-// carrying an opaque estimator factory refuse to checkpoint; restore demands
-// an empty engine.
+// version-mismatched snapshots come back as typed Status errors; restore
+// demands an empty engine; and the image bytes of a fixed run are pinned.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "awd.hpp"
-#include "sim/estimator.hpp"
 
 namespace {
 
@@ -76,7 +73,7 @@ std::vector<serve::StreamId> submit_matrix(serve::StreamEngine& engine) {
   return ids;
 }
 
-// The ISSUE's differential: run part of the batch, checkpoint (with streams
+// The acceptance differential: run part of the batch, checkpoint (with streams
 // still pending in the queue, so the snapshot carries running AND queued
 // sections), then restore at shard counts 1/2/4/8 and finish.  Every layout
 // must reproduce the uninterrupted run bit for bit.
@@ -240,22 +237,6 @@ TEST(EngineCheckpoint, CorruptSnapshotsRejectedTyped) {
   }
 }
 
-// A stream whose options carry an opaque make_estimator factory cannot be
-// re-created from bytes; checkpoint() must say so, typed.
-TEST(EngineCheckpoint, OpaqueEstimatorFactoryRefusesCheckpoint) {
-  const SimulatorCase scase = simulator_case("aircraft_pitch");
-  serve::StreamSpec spec{.scase = scase, .attack = AttackKind::kBias, .seed = 1};
-  spec.options.make_estimator = []() -> std::unique_ptr<sim::Estimator> {
-    return std::make_unique<sim::PassthroughEstimator>();
-  };
-  serve::StreamEngine engine({.threads = 1});
-  ASSERT_TRUE(engine.submit(spec).is_ok());
-  engine.step_all();
-  Result<std::vector<std::uint8_t>> snap = engine.checkpoint();
-  ASSERT_FALSE(snap.is_ok());
-  EXPECT_EQ(snap.status().code(), StatusCode::kUnimplemented);
-}
-
 // describe_snapshot: the tooling view reports structure without touching any
 // pipeline, and agrees with the engine that wrote the image.
 TEST(EngineCheckpoint, DescribeSnapshotSummarizes) {
@@ -292,6 +273,29 @@ TEST(EngineCheckpoint, DescribeSnapshotSummarizes) {
   std::vector<std::uint8_t> bad = img;
   bad[bad.size() - 1] ^= 0x01;
   EXPECT_FALSE(describe_snapshot(bad).is_ok());
+}
+
+// The image bytes of a fixed three-stream run, pinned as a literal: every
+// round-trip test above compares two images of the same build, so only a
+// pin catches a change that moves encoder and decoder together.
+TEST(EngineCheckpoint, ImageBytesPinnedForFixedRun) {
+  serve::StreamEngine engine({.threads = 1});
+  const AttackKind attacks[] = {AttackKind::kBias, AttackKind::kReplay,
+                                AttackKind::kDelay};
+  const char* const plants[] = {"aircraft_pitch", "series_rlc", "dc_motor"};
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(engine
+                    .submit({.scase = simulator_case(plants[i]),
+                             .attack = attacks[i],
+                             .seed = i + 1})
+                    .is_ok());
+  }
+  for (int k = 0; k < 30; ++k) engine.step_all();
+  const Result<std::vector<std::uint8_t>> image = engine.checkpoint();
+  ASSERT_TRUE(image.is_ok()) << image.status().message();
+  EXPECT_EQ(image.value().size(), 35088u);
+  EXPECT_EQ(core::ckpt::fnv1a64(image.value().data(), image.value().size()),
+            0x5b2ec1831d551e54ULL);
 }
 
 }  // namespace

@@ -34,7 +34,6 @@ static_assert(std::is_same_v<awd::BackendSpec, awd::v1::BackendSpec>);
 static_assert(std::is_same_v<awd::DeadlineTable, awd::v1::DeadlineTable>);
 static_assert(std::is_same_v<awd::Backend, awd::reach::Backend>);
 static_assert(std::is_same_v<awd::BoxBackend, awd::reach::BoxBackend>);
-static_assert(std::is_same_v<awd::EllipsoidBackend, awd::reach::EllipsoidBackend>);
 static_assert(std::is_same_v<awd::TableBackend, awd::reach::TableBackend>);
 static_assert(std::is_same_v<awd::DeadlineConfig, awd::reach::DeadlineConfig>);
 

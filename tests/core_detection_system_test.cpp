@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/metrics.hpp"
+#include "reach/deadline.hpp"
 
 namespace awd::core {
 namespace {
@@ -122,8 +123,7 @@ TEST(DetectionSystem, AccessorsExposeComponents) {
   EXPECT_EQ(system.estimator().config().max_window, scase.max_window);
   EXPECT_EQ(system.estimator().kind(), reach::BackendKind::kBox);
   EXPECT_EQ(system.estimator().name(), "box");
-  const auto* cached =
-      dynamic_cast<const reach::CachedWalkBackend*>(&system.estimator());
+  const auto* cached = dynamic_cast<const reach::BoxBackend*>(&system.estimator());
   ASSERT_NE(cached, nullptr);
   EXPECT_DOUBLE_EQ(cached->reach().uncertainty_bound(), scase.eps_reach);
 }

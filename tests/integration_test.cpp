@@ -3,15 +3,26 @@
 // unit tests cannot see together.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "core/detection_system.hpp"
 #include "core/metrics.hpp"
 
 namespace awd::core {
+
+// Prints an attack by name in test names and failure messages. Without it
+// gtest dumps the enum's bytes; kept out of the unnamed namespace so that
+// argument-dependent lookup finds it.
+static void PrintTo(AttackKind kind, std::ostream* os) { *os << to_string(kind); }
+
 namespace {
 
-using IntegrationParam = std::tuple<const char*, AttackKind>;
+// The plant key is a std::string, not a const char*: gtest prints a pointer
+// with its address, and ctest takes that text into the test's name, which
+// would then change with every build and run.
+using IntegrationParam = std::tuple<std::string, AttackKind>;
 
 class PipelineInvariants : public ::testing::TestWithParam<IntegrationParam> {};
 
@@ -49,8 +60,7 @@ TEST_P(PipelineInvariants, HoldThroughoutARun) {
 }
 
 std::string param_name(const ::testing::TestParamInfo<IntegrationParam>& info) {
-  return std::string(std::get<0>(info.param)) + "_" +
-         std::string(to_string(std::get<1>(info.param)));
+  return std::get<0>(info.param) + "_" + std::string(to_string(std::get<1>(info.param)));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <stdexcept>
 
 #include "linalg/expm.hpp"
@@ -106,6 +107,13 @@ struct BankCase {
   std::size_t n;
   std::size_t m;
 };
+
+// ctest takes the printed parameter into the test's name; gtest's default
+// dump of the struct holds the two pointers, which change with every build
+// and run.
+void PrintTo(const BankCase& bc, std::ostream* os) {
+  *os << bc.name << " (n=" << bc.n << ", m=" << bc.m << ")";
+}
 
 class ModelBankTest : public ::testing::TestWithParam<BankCase> {};
 

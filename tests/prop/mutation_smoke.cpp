@@ -2,9 +2,9 @@
 //
 // CMake builds this driver several times: once as a control against the
 // pristine library, and once per seeded mutant with exactly one AWD_MUT_*
-// macro defined.  Each mutant executable compiles its own copy of the
-// mutated translation units (logger.cpp / adaptive.cpp / deadline.cpp), so
-// the library archive stays pristine and the mutation never leaks into
+// macro defined.  Each mutant executable compiles its own copy of the one
+// translation unit its macro lives in (tests/prop/CMakeLists.txt maps them),
+// so the library archive stays pristine and the mutation never leaks into
 // other targets.
 //
 // Exit code 0 means the expectation held:

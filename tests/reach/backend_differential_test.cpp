@@ -5,8 +5,6 @@
 //
 //   * BoxBackend's cached walk is bit-identical to the uncached reach-box
 //     recursion (the pre-refactor estimator's exact semantics);
-//   * EllipsoidBackend never promises more time than the box walk (its
-//     reach sets enclose the box sets, so its deadlines are conservative);
 //   * TableBackend never promises more time than the box walk anywhere in
 //     its precomputed domain (each cell stores an inflated-walk lower
 //     bound).
@@ -20,7 +18,6 @@
 #include "core/detection_system.hpp"
 #include "reach/backend.hpp"
 #include "reach/deadline.hpp"
-#include "reach/ellipsoid.hpp"
 #include "reach/table.hpp"
 
 namespace awd::reach {
@@ -34,14 +31,13 @@ constexpr core::AttackKind kAttacks[] = {core::AttackKind::kBias,
                                          core::AttackKind::kRamp};
 constexpr int kSeedsPerAttack = 13;  // 4 attacks x 13 = 52 seeds per plant
 
-struct BackendTriple {
+struct BackendPair {
   std::unique_ptr<Backend> box;
-  std::unique_ptr<Backend> ellipsoid;
   std::unique_ptr<Backend> table;
   Box domain = Box::unbounded(0);
 };
 
-BackendTriple make_triple(const core::SimulatorCase& scase) {
+BackendPair make_backends(const core::SimulatorCase& scase) {
   core::SimulatorCase tuned = scase;
   // Grid resolution chosen so cells^dim stays well under the table cap on
   // every seed plant.
@@ -49,27 +45,22 @@ BackendTriple make_triple(const core::SimulatorCase& scase) {
 
   BackendSpec spec = core::make_backend_spec(tuned, /*init_radius=*/0.0,
                                              /*budget_steps=*/0);
-  BackendTriple triple;
-  triple.domain = spec.table.domain;
+  BackendPair pair;
+  pair.domain = spec.table.domain;
 
   spec.kind = BackendKind::kBox;
-  triple.box = make_backend(spec).value();
-  spec.kind = BackendKind::kEllipsoid;
-  triple.ellipsoid = make_backend(spec).value();
+  pair.box = make_backend(spec).value();
   spec.kind = BackendKind::kTable;
-  triple.table = make_backend(spec).value();
-  return triple;
+  pair.table = make_backend(spec).value();
+  return pair;
 }
 
-void check_probe(const BackendTriple& t, const Vec& x, const char* plant,
+void check_probe(const BackendPair& t, const Vec& x, const char* plant,
                  const char* context) {
   const auto& box = dynamic_cast<const BoxBackend&>(*t.box);
   const std::size_t t_box = box.estimate(x);
   ASSERT_EQ(t_box, box.estimate_uncached(x))
       << plant << " " << context << ": cached box walk diverged from the recursion";
-  const std::size_t t_ell = t.ellipsoid->estimate(x);
-  EXPECT_LE(t_ell, t_box) << plant << " " << context
-                          << ": ellipsoid deadline over-promises";
   if (t.domain.contains(x)) {
     const std::size_t t_tab = t.table->estimate(x);
     EXPECT_LE(t_tab, t_box) << plant << " " << context
@@ -80,7 +71,7 @@ void check_probe(const BackendTriple& t, const Vec& x, const char* plant,
 TEST(BackendDifferential, SoundOverPlantsAttacksAndSeeds) {
   for (const char* plant : kPlants) {
     const core::SimulatorCase scase = core::simulator_case(plant);
-    const BackendTriple triple = make_triple(scase);
+    const BackendPair pair = make_backends(scase);
     const std::size_t n = scase.model.state_dim();
 
     // Real attacked pipelines: probe the estimate stream the deadline
@@ -92,7 +83,7 @@ TEST(BackendDifferential, SoundOverPlantsAttacksAndSeeds) {
         const sim::Trace trace = system.run(80);
         for (std::size_t k = 4; k < trace.size(); k += 8) {
           SCOPED_TRACE(trace[k].t);
-          check_probe(triple, trace[k].estimate, plant, "attacked run");
+          check_probe(pair, trace[k].estimate, plant, "attacked run");
           if (::testing::Test::HasFatalFailure()) return;
         }
       }
@@ -111,7 +102,7 @@ TEST(BackendDifferential, SoundOverPlantsAttacksAndSeeds) {
     for (int s = 0; s < 60; ++s) {
       Vec x = scase.reference;
       for (std::size_t i = 0; i < n; ++i) x[i] += 3.0 * next_unit();
-      check_probe(triple, x, plant, "random cloud");
+      check_probe(pair, x, plant, "random cloud");
       if (::testing::Test::HasFatalFailure()) return;
     }
   }

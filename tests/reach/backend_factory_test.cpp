@@ -11,7 +11,6 @@
 #include "core/config.hpp"
 #include "reach/backend.hpp"
 #include "reach/deadline.hpp"
-#include "reach/ellipsoid.hpp"
 #include "reach/table.hpp"
 
 namespace awd::reach {
@@ -67,8 +66,7 @@ TEST(BackendFactory, RejectsMalformedSpecsWithTypedStatus) {
   {
     BackendSpec spec = base_spec();
     spec.kind = BackendKind::kEllipsoid;
-    spec.ellipsoid.inflation = -1e-3;
-    expect_invalid(spec, "negative ellipsoid inflation");
+    expect_invalid(spec, "retired kind 1");
   }
   {
     BackendSpec spec = base_spec();
@@ -96,9 +94,7 @@ TEST(BackendFactory, DispatchesOnKindAndStampsTheFingerprint) {
   const struct {
     BackendKind kind;
     std::string_view name;
-  } cases[] = {{BackendKind::kBox, "box"},
-               {BackendKind::kEllipsoid, "ellipsoid"},
-               {BackendKind::kTable, "table"}};
+  } cases[] = {{BackendKind::kBox, "box"}, {BackendKind::kTable, "table"}};
   for (const auto& c : cases) {
     BackendSpec spec = base_spec();
     spec.kind = c.kind;
@@ -114,8 +110,6 @@ TEST(BackendFactory, DispatchesOnKindAndStampsTheFingerprint) {
   BackendSpec spec = base_spec();
   spec.kind = BackendKind::kBox;
   EXPECT_NE(dynamic_cast<BoxBackend*>(make_backend(spec).value().get()), nullptr);
-  spec.kind = BackendKind::kEllipsoid;
-  EXPECT_NE(dynamic_cast<EllipsoidBackend*>(make_backend(spec).value().get()), nullptr);
   spec.kind = BackendKind::kTable;
   EXPECT_NE(dynamic_cast<TableBackend*>(make_backend(spec).value().get()), nullptr);
 }
@@ -133,7 +127,7 @@ TEST(BackendFactory, FingerprintTracksAnswerChangingKnobsOnly) {
   EXPECT_NE(spec_fingerprint(other), spec_fingerprint(spec)) << "horizon ignored";
 
   other = spec;
-  other.kind = BackendKind::kEllipsoid;
+  other.kind = BackendKind::kBox;
   EXPECT_NE(spec_fingerprint(other), spec_fingerprint(spec)) << "kind ignored";
 
   // Table grid knobs are part of the table backend's identity...
@@ -151,10 +145,6 @@ TEST(BackendFactory, FingerprintTracksAnswerChangingKnobsOnly) {
   box_b.table.domain = Box::unbounded(0);
   EXPECT_EQ(spec_fingerprint(box_a), spec_fingerprint(box_b))
       << "kBox fingerprint depends on table-only knobs";
-  BackendSpec box_c = box_a;
-  box_c.ellipsoid.inflation *= 2.0;
-  EXPECT_EQ(spec_fingerprint(box_a), spec_fingerprint(box_c))
-      << "kBox fingerprint depends on ellipsoid-only knobs";
 }
 
 TEST(BackendFactory, CheckedPathTypedErrorsAndTableBudgetImmunity) {

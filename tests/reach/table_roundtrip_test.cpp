@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/ckpt.hpp"
 #include "core/config.hpp"
 #include "reach/backend.hpp"
 #include "reach/table.hpp"
@@ -55,7 +56,6 @@ TEST(TableRoundTrip, EncodeDecodeServesBitwiseAtEveryCell) {
 
     // Field-for-field identity of the decoded grid.
     EXPECT_EQ(decoded.source_fingerprint, original.source_fingerprint);
-    EXPECT_EQ(decoded.source, original.source);
     EXPECT_EQ(decoded.dim, original.dim);
     EXPECT_EQ(decoded.max_window, original.max_window);
     ASSERT_EQ(decoded.cells, original.cells);
@@ -107,6 +107,28 @@ TEST(TableRoundTrip, TamperedBytesNeverServe) {
   for (const std::size_t keep : {std::size_t{0}, std::size_t{4}, bytes.size() / 2,
                                  bytes.size() - 1}) {
     EXPECT_FALSE(decode_table(bytes.data(), keep).is_ok()) << "kept " << keep;
+  }
+
+  // A validly framed image whose meta section (written first) names a
+  // source backend other than box — kind 1 is the retired ellipsoid — is
+  // corrupt, not servable.  Source 0 re-frames to a loadable image, so the
+  // rejection is the source byte's alone.
+  const core::ckpt::SnapshotView view = core::ckpt::SnapshotView::parse(bytes).value();
+  for (const std::uint8_t source : {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{2}}) {
+    core::ckpt::SnapshotBuilder builder;
+    for (const core::ckpt::SectionView& sec : view.sections()) {
+      std::vector<std::uint8_t> payload(sec.data, sec.data + sec.size);
+      if (&sec == &view.sections().front()) payload.at(0) = source;
+      builder.section(sec.id).bytes(payload.data(), payload.size());
+    }
+    const core::Result<DeadlineTable> decoded =
+        decode_table(builder.finish(view.fingerprint()));
+    if (source == 0) {
+      EXPECT_TRUE(decoded.is_ok()) << decoded.status().message();
+    } else {
+      ASSERT_FALSE(decoded.is_ok()) << "source kind " << int{source};
+      EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+    }
   }
 }
 

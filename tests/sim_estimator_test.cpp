@@ -1,147 +1,78 @@
-// Tests for the pluggable estimation stage and its interaction with the
-// detection pipeline (extension beyond the paper's full-observability
-// assumption).
+// Tests for the estimation stage: §2's passthrough (estimate = measurement)
+// behind the sample validation the closed loop's hold-last-value fallback
+// relies on.
 #include "sim/estimator.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
-#include <stdexcept>
-
-#include "core/detection_system.hpp"
-#include "core/metrics.hpp"
-#include "models/model_bank.hpp"
-#include "sim/noise.hpp"
 
 namespace awd::sim {
 namespace {
 
 TEST(Estimator, PassthroughReturnsMeasurement) {
-  PassthroughEstimator est;
+  const Estimator est;
   const Vec y{1.0, 2.0};
-  EXPECT_EQ(est.estimate(y, Vec{}), y);
-  auto copy = est.clone();
-  EXPECT_EQ(copy->estimate(y, Vec{}), y);
+  Vec out;
+  ASSERT_TRUE(est.estimate_checked_into(y, out).is_ok());
+  EXPECT_EQ(out, y);
 }
 
 TEST(Estimator, CheckedAcceptsFiniteSamples) {
-  PassthroughEstimator est;
-  const auto ok = est.estimate_checked(Vec{1.0, 2.0}, Vec{});
+  const Estimator est;
+  Vec out{9.0};
+  const core::Status ok = est.estimate_checked_into(Vec{1.0, 2.0}, out);
   ASSERT_TRUE(ok.is_ok());
-  EXPECT_EQ(ok.value(), (Vec{1.0, 2.0}));
+  EXPECT_EQ(out, (Vec{1.0, 2.0}));
 }
 
 TEST(Estimator, CheckedRejectsMissingSample) {
-  PassthroughEstimator est;
-  const auto missing = est.estimate_checked(std::nullopt, Vec{});
+  const Estimator est;
+  Vec out;
+  const core::Status missing = est.estimate_checked_into(std::nullopt, out);
   EXPECT_FALSE(missing.is_ok());
-  EXPECT_EQ(missing.status().code(), core::StatusCode::kUnavailable);
+  EXPECT_EQ(missing.code(), core::StatusCode::kUnavailable);
 }
 
 TEST(Estimator, CheckedRejectsNonFiniteSample) {
-  PassthroughEstimator est;
-  const auto nan =
-      est.estimate_checked(Vec{std::numeric_limits<double>::quiet_NaN()}, Vec{});
+  const Estimator est;
+  Vec out;
+  const core::Status nan =
+      est.estimate_checked_into(Vec{std::numeric_limits<double>::quiet_NaN()}, out);
   EXPECT_FALSE(nan.is_ok());
-  EXPECT_EQ(nan.status().code(), core::StatusCode::kInvalidInput);
-  const auto inf =
-      est.estimate_checked(Vec{std::numeric_limits<double>::infinity()}, Vec{});
-  EXPECT_EQ(inf.status().code(), core::StatusCode::kInvalidInput);
+  EXPECT_EQ(nan.code(), core::StatusCode::kInvalidInput);
+  const core::Status inf =
+      est.estimate_checked_into(Vec{std::numeric_limits<double>::infinity()}, out);
+  EXPECT_EQ(inf.code(), core::StatusCode::kInvalidInput);
 }
 
 TEST(Estimator, CheckedRejectionLeavesFilterStateUntouched) {
-  const auto model = models::testbed_car();
-  FilteringEstimator est(model, 1e-6, 1e-6, Vec{0.0});
-  (void)est.estimate(Vec{0.01}, Vec{});
-  const Vec before = est.estimate(Vec{0.011}, Vec{2.0});
-  // A rejected sample must not advance the filter: feeding the same good
-  // sample afterwards gives the same answer as feeding it immediately.
-  FilteringEstimator twin(model, 1e-6, 1e-6, Vec{0.0});
-  (void)twin.estimate(Vec{0.01}, Vec{});
-  (void)twin.estimate(Vec{0.011}, Vec{2.0});
-  (void)est.estimate_checked(std::nullopt, Vec{2.0});
-  (void)est.estimate_checked(Vec{std::numeric_limits<double>::quiet_NaN()}, Vec{2.0});
-  EXPECT_EQ(est.estimate(Vec{0.012}, Vec{2.0}), twin.estimate(Vec{0.012}, Vec{2.0}));
-  (void)before;
+  // The passthrough stage's only state is the last good estimate, which the
+  // caller holds in `out`; a rejected sample must not overwrite it.
+  const Estimator est;
+  Vec out{0.25, 0.5};
+  (void)est.estimate_checked_into(std::nullopt, out);
+  EXPECT_EQ(out, (Vec{0.25, 0.5}));
+  (void)est.estimate_checked_into(Vec{1.0, std::numeric_limits<double>::quiet_NaN()},
+                                  out);
+  EXPECT_EQ(out, (Vec{0.25, 0.5}));
 }
 
-TEST(Estimator, FilteringSmoothsMeasurementNoise) {
-  const auto model = models::testbed_car();
-  const double meas_noise = 1.3e-4;
-  FilteringEstimator est(model, /*q=*/1e-12, /*r=*/meas_noise * meas_noise, Vec{0.0});
+TEST(Estimator, StateTagRoundTripsAndForeignTagIsRejected) {
+  // Snapshots carry the stage's one-byte state tag 0.
+  const Estimator est;
+  core::ckpt::Writer w;
+  est.serialize_state(w);
+  ASSERT_EQ(w.size(), 1u);
+  EXPECT_EQ(w.data()[0], 0u);
+  core::ckpt::Reader r(w.data().data(), w.size());
+  EXPECT_TRUE(est.restore_state(r).is_ok());
 
-  Rng rng(3);
-  double x = 0.0104;
-  const Vec u{2.09};
-  double err_filtered = 0.0, err_raw = 0.0;
-  bool first = true;
-  for (int i = 0; i < 400; ++i) {
-    x = model.A(0, 0) * x + model.B(0, 0) * u[0];
-    const double y = x + rng.uniform(-meas_noise, meas_noise);
-    const Vec xe = est.estimate(Vec{y}, first ? Vec{} : u);
-    first = false;
-    if (i > 50) {
-      err_filtered += std::abs(xe[0] - x);
-      err_raw += std::abs(y - x);
-    }
-  }
-  EXPECT_LT(err_filtered, 0.5 * err_raw);
-}
-
-TEST(Estimator, FilteringResetRestores) {
-  const auto model = models::testbed_car();
-  FilteringEstimator est(model, 1e-8, 1e-8, Vec{0.5});
-  (void)est.estimate(Vec{1.0}, Vec{});
-  (void)est.estimate(Vec{1.0}, Vec{0.0});
-  est.reset();
-  // After reset the first call re-initializes from the measurement again.
-  EXPECT_DOUBLE_EQ(est.estimate(Vec{2.0}, Vec{})[0], 2.0);
-}
-
-TEST(Estimator, FilteringValidation) {
-  const auto model = models::testbed_car();
-  EXPECT_THROW(FilteringEstimator(model, 0.0, 1.0, Vec{0.0}), std::invalid_argument);
-  EXPECT_THROW(FilteringEstimator(model, 1.0, -1.0, Vec{0.0}), std::invalid_argument);
-}
-
-TEST(Estimator, DetectionPipelineWorksWithKalmanInTheLoop) {
-  // The adaptive detector must still catch a bias attack when the estimate
-  // comes through a Kalman filter rather than raw measurements.
-  const core::SimulatorCase scase = core::simulator_case("vehicle_turning");
-  core::DetectionSystemOptions opts;
-  opts.make_estimator = [&scase] {
-    return std::make_unique<FilteringEstimator>(
-        scase.model, /*q=*/scase.eps * scase.eps,
-        /*r=*/scase.sensor_noise[0] * scase.sensor_noise[0], scase.x0);
-  };
-  core::DetectionSystem system(scase, core::AttackKind::kBias, 17, opts);
-  const sim::Trace trace = system.run();
-  const core::RunMetrics m = core::compute_metrics(
-      trace, scase.attack_start, scase.attack_duration, core::Strategy::kAdaptive);
-  EXPECT_FALSE(m.false_negative);
-}
-
-TEST(Estimator, FilterAbsorbsPartOfTheOnsetSpike) {
-  // Threat-model subtlety: the filter partially absorbs the measurement
-  // corruption, so the onset residual spike the detector sees is smaller
-  // than with passthrough estimation.
-  const core::SimulatorCase scase = core::simulator_case("vehicle_turning");
-
-  core::DetectionSystem plain(scase, core::AttackKind::kBias, 23);
-  core::DetectionSystemOptions opts;
-  opts.make_estimator = [&scase] {
-    return std::make_unique<FilteringEstimator>(scase.model, 1e-3, 1e-3, scase.x0);
-  };
-  core::DetectionSystem filtered(scase, core::AttackKind::kBias, 23, opts);
-
-  const sim::Trace tp = plain.run();
-  const sim::Trace tf = filtered.run();
-  const double spike_plain = tp[scase.attack_start].residual[0];
-  const double spike_filtered = tf[scase.attack_start].residual[0];
-  EXPECT_GT(spike_plain, 0.5);  // the raw bias magnitude 0.8 (minus noise)
-  EXPECT_LT(spike_filtered, spike_plain);
+  const std::uint8_t foreign = 2;
+  core::ckpt::Reader bad(&foreign, 1);
+  EXPECT_EQ(est.restore_state(bad).code(), core::StatusCode::kDataLoss);
 }
 
 }  // namespace

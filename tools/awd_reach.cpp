@@ -1,21 +1,21 @@
 // awd_reach — offline deadline-table precompute and inspection
 // (DESIGN.md §17).
 //
-// Usage: awd_reach build <case_key> <file> [--cells N] [--source box|ellipsoid]
-//                        [--init-radius R] [--max-window W]
+// Usage: awd_reach build <case_key> <file> [--cells N] [--init-radius R]
+//                        [--max-window W]
 //        awd_reach info  <file>
-//        awd_reach check <case_key> <file> [--cells N] [--source box|ellipsoid]
-//                        [--init-radius R] [--max-window W]
+//        awd_reach check <case_key> <file> [--cells N] [--init-radius R]
+//                        [--max-window W]
 //
 // `build` derives the case's reach::BackendSpec, runs the grid precompute
-// (every cell's deadline from an inflated walk at the cell center, so the
-// stored value lower-bounds the source backend everywhere in the cell), and
-// ships the table through the core::ckpt codec — header fingerprint = the
-// source spec's fingerprint, CRC-framed sections, the same validation
-// pipeline every other snapshot passes.
+// (every cell's deadline from an inflated box walk at the cell center, so
+// the stored value lower-bounds the box backend everywhere in the cell),
+// and ships the table through the core::ckpt codec — header fingerprint =
+// the box source spec's fingerprint, CRC-framed sections, the same
+// validation pipeline every other snapshot passes.
 //
 // `info` decodes a table file structurally (no case needed) and prints its
-// provenance: source kind and fingerprint, grid shape, domain, deadline
+// provenance: source fingerprint, grid shape, domain, deadline
 // histogram bounds.  `check` re-derives the spec from a case and verifies
 // the file was precomputed for exactly that configuration — the operator
 // form of the load-time rejection TableBackend enforces.
@@ -37,10 +37,10 @@ using namespace awd;
 int usage() {
   std::fprintf(stderr,
                "usage: awd_reach build <case_key> <file> [--cells N] "
-               "[--source box|ellipsoid] [--init-radius R] [--max-window W]\n"
+               "[--init-radius R] [--max-window W]\n"
                "       awd_reach info  <file>\n"
                "       awd_reach check <case_key> <file> [--cells N] "
-               "[--source box|ellipsoid] [--init-radius R] [--max-window W]\n");
+               "[--init-radius R] [--max-window W]\n");
   return 2;
 }
 
@@ -53,9 +53,6 @@ int fail_status(const char* verb, const Status& s) {
 }
 
 void print_table(const DeadlineTable& t) {
-  std::printf("  source           %.*s\n",
-              static_cast<int>(reach::to_string(t.source).size()),
-              reach::to_string(t.source).data());
   std::printf("  source spec      %016llx\n",
               static_cast<unsigned long long>(t.source_fingerprint));
   std::printf("  state dim        %zu\n", t.dim);
@@ -82,10 +79,9 @@ void print_table(const DeadlineTable& t) {
 }
 
 /// The spec `DetectionSystem::create` would derive for this case, with the
-/// tool's grid/source overrides applied on top.
+/// tool's grid overrides applied on top.
 Result<BackendSpec> derive_spec(const std::string& case_key, double init_radius,
-                                std::size_t max_window, std::size_t cells,
-                                BackendKind source) {
+                                std::size_t max_window, std::size_t cells) {
   SimulatorCase scase;
   try {
     scase = simulator_case(case_key);
@@ -97,9 +93,7 @@ Result<BackendSpec> derive_spec(const std::string& case_key, double init_radius,
   if (cells != 0) scase.reach_table_cells = cells;
   if (max_window != 0) scase.max_window = max_window;
   if (Status s = scase.check(); !s.is_ok()) return s;
-  BackendSpec spec = make_backend_spec(scase, init_radius, 0);
-  spec.table.source = source;
-  return spec;
+  return make_backend_spec(scase, init_radius, 0);
 }
 
 }  // namespace
@@ -127,7 +121,6 @@ int main(int argc, char** argv) {
   std::size_t cells = 0;
   std::size_t max_window = 0;
   double init_radius = 0.0;
-  BackendKind source = BackendKind::kBox;
   for (int i = 4; i < argc; ++i) {
     const char* arg = argv[i];
     const bool has_value = i + 1 < argc;
@@ -137,21 +130,12 @@ int main(int argc, char** argv) {
       max_window = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (std::strcmp(arg, "--init-radius") == 0 && has_value) {
       init_radius = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(arg, "--source") == 0 && has_value) {
-      const char* v = argv[++i];
-      if (std::strcmp(v, "box") == 0) {
-        source = BackendKind::kBox;
-      } else if (std::strcmp(v, "ellipsoid") == 0) {
-        source = BackendKind::kEllipsoid;
-      } else {
-        return usage();
-      }
     } else {
       return usage();
     }
   }
 
-  Result<BackendSpec> spec = derive_spec(case_key, init_radius, max_window, cells, source);
+  Result<BackendSpec> spec = derive_spec(case_key, init_radius, max_window, cells);
   if (!spec.is_ok()) {
     fail_status(case_key.c_str(), spec.status());
     return 2;
