@@ -1,6 +1,8 @@
-// bench_util.hpp — shared formatting helpers for the table/figure
-// regeneration binaries.  Each bench prints a self-describing plain-text
-// report so `for b in build/bench/*; do $b; done` produces a readable log.
+// bench_util.hpp — shared helpers for the bench binaries: argv and
+// formatting for the table/figure regeneration binaries (each prints a
+// self-describing plain-text report so `for b in build/bench/*; do $b; done`
+// produces a readable log), and an optimization barrier for the timing
+// loops of the two gate binaries.
 #pragma once
 
 #include <cstdio>
@@ -39,6 +41,13 @@ inline void subheading(const std::string& title) {
 
 inline std::string opt_step(const std::optional<std::size_t>& s) {
   return s ? std::to_string(*s) : std::string("never");
+}
+
+/// Keep `value` (and the work that produced it) alive in a timing loop: the
+/// compiler must assume the empty asm reads it and touches memory.
+template <typename T>
+inline void do_not_optimize(const T& value) {
+  asm volatile("" : : "r,m"(value) : "memory");
 }
 
 }  // namespace awd::bench

@@ -58,7 +58,7 @@ struct ExecutionConfig {
   std::size_t threads = 0;
 };
 
-/// Parse/print helpers for AttackKind.
+/// Stable lowercase name of an AttackKind ("bias", "stealthy_ramp", ...).
 [[nodiscard]] std::string_view to_string(AttackKind kind) noexcept;
 
 /// Complete configuration of one simulator row of Table 1.

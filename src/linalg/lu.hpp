@@ -1,7 +1,7 @@
 // lu.hpp — LU decomposition with partial pivoting.
 //
-// Used for solving dense linear systems (Padé denominator in expm, LQR
-// Riccati iteration) and for matrix inversion where a model needs it.
+// Used for solving dense linear systems (Padé denominator in expm) and for
+// matrix inversion where a model needs it.
 #pragma once
 
 #include <cstddef>

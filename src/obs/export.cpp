@@ -38,8 +38,8 @@ const MetricsSnapshot::CounterSample* find_counter(const MetricsSnapshot& snap,
   return nullptr;
 }
 
-/// Derived ratio metrics: iteration-count independent, so they are the
-/// values the CI metrics gate compares across runs.
+/// Derived ratio metrics: iteration-count independent, so runs of any
+/// length compare.
 std::vector<std::pair<std::string, double>> derived_metrics(const MetricsSnapshot& snap) {
   std::vector<std::pair<std::string, double>> out;
   const auto* hits = find_counter(snap, "awd_deadline_cache_hits_total");

@@ -71,8 +71,8 @@ void remove_failure_hook(std::uint64_t token) noexcept;
 
 /// Command-line plumbing for bench/example mains: parses and *removes*
 /// --obs-out=<dir> (or "--obs-out <dir>") from argv so downstream flag
-/// parsers (e.g. google-benchmark) never see it, starts the global tracer
-/// when the flag is present, and writes the directory on destruction.
+/// parsers never see it, starts the global tracer when the flag is
+/// present, and writes the directory on destruction.
 class ObsSession {
  public:
   ObsSession(int& argc, char** argv);

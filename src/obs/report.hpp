@@ -4,9 +4,8 @@
 // parsers for exactly the JSON this repo's exporters emit (metrics.json and
 // the Chrome trace-event trace.json), plus the pretty-printer shared by
 // tools/obs_report and `awd_diagnose --obs` (top-N slowest spans, per-stage
-// profile, counter table).  The parsers are scanners in the spirit of
-// tools/bench_compare.cpp — they understand our flat output, not arbitrary
-// JSON.
+// profile, counter table).  The parsers are scanners — they understand our
+// flat output, not arbitrary JSON.
 #pragma once
 
 #include <cstdint>

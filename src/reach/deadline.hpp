@@ -55,8 +55,7 @@ class BoxBackend final : public Backend {
   /// Reference implementation of estimate() that re-runs the full reach-box
   /// recursion per step instead of the cached walk.  Kept for validation
   /// (cached and uncached deadlines are bit-identical — this is the
-  /// soundness oracle of the cross-backend differential) and as the
-  /// baseline of the bench_micro_overhead speedup column; not a hot-path
+  /// soundness oracle of the cross-backend differential); not a hot-path
   /// API.
   [[nodiscard]] std::size_t estimate_uncached(const Vec& x0) const;
 

@@ -30,7 +30,6 @@ struct ServeObs {
   obs::Gauge& failsafe;
   obs::Gauge& recorder_frames;
   obs::Gauge& dumps_written;
-  obs::Gauge& dumps_skipped;
   obs::Gauge& backends_box;
   obs::Gauge& backends_table;
 
@@ -62,8 +61,6 @@ struct ServeObs {
                                       "flight-recorder frames retained across all streams"),
         obs::Registry::global().gauge("awd_serve_dumps_written",
                                       "automatic forensic dumps taken"),
-        obs::Registry::global().gauge("awd_serve_dumps_skipped",
-                                      "dump triggers on undumpable streams"),
         obs::Registry::global().gauge("awd_serve_backends_box",
                                       "cached box deadline backends"),
         obs::Registry::global().gauge("awd_serve_backends_table",
@@ -487,10 +484,7 @@ void StreamEngine::perform_pending_dumps_() {
       const StreamId id = shard.slots[d.slot]->id;
       core::Result<std::vector<std::uint8_t>> image =
           encode_slot_dump_(shard, si, d.slot, d.reason, d.trigger_step);
-      if (!image.is_ok()) {
-        ++dumps_skipped_;
-        continue;
-      }
+      if (!image.is_ok()) continue;
       const auto frames = static_cast<std::int64_t>(shard.recorders[d.slot]->size());
       if (!options_.forensics_dir.empty()) {
         char name[96];
@@ -577,7 +571,6 @@ EngineIntrospection StreamEngine::introspect() const {
   intro.counters = snapshot();
   intro.recorder_depth = options_.flight_recorder_depth;
   intro.dumps_written = dumps_written_;
-  intro.dumps_skipped = dumps_skipped_;
   for (const auto& [key, backend] : estimator_cache_) {
     (void)key;
     ++(backend->kind() == reach::BackendKind::kTable ? intro.backends_table
@@ -622,7 +615,6 @@ void StreamEngine::publish_introspection_() const {
   ob.failsafe.set(static_cast<std::int64_t>(failsafe));
   ob.recorder_frames.set(static_cast<std::int64_t>(frames));
   ob.dumps_written.set(static_cast<std::int64_t>(dumps_written_));
-  ob.dumps_skipped.set(static_cast<std::int64_t>(dumps_skipped_));
   ob.backends_box.set(static_cast<std::int64_t>(intro.backends_box));
   ob.backends_table.set(static_cast<std::int64_t>(intro.backends_table));
 }
@@ -641,7 +633,6 @@ std::string introspection_json(const EngineIntrospection& intro) {
       << "  \"streams_rejected\": " << c.streams_rejected << ",\n"
       << "  \"recorder_depth\": " << intro.recorder_depth << ",\n"
       << "  \"dumps_written\": " << intro.dumps_written << ",\n"
-      << "  \"dumps_skipped\": " << intro.dumps_skipped << ",\n"
       << "  \"backends\": {\"box\": " << intro.backends_box
       << ", \"table\": " << intro.backends_table << "},\n"
       << "  \"shard_info\": [";

@@ -168,7 +168,7 @@ struct StreamEngineOptions {
   /// in memory only — retrievable via last_dump()/dump_stream().  When set,
   /// the engine also registers an obs failure hook that dumps every running
   /// stream's recorder here if the process dies (DumpReason::kCrash).
-  std::string forensics_dir;
+  std::string forensics_dir{};
 };
 
 /// Live introspection of one shard (see StreamEngine::introspect).
@@ -190,7 +190,6 @@ struct EngineIntrospection {
   std::vector<ShardIntrospection> shard_info;
   std::size_t recorder_depth = 0;    ///< configured ring depth (0 = disabled)
   std::uint64_t dumps_written = 0;   ///< automatic forensic dumps taken
-  std::uint64_t dumps_skipped = 0;   ///< dump triggers on undumpable streams
   // Shared deadline backends cached per reach::BackendKind — how the
   // engine's plant families resolved their deadline strategy.
   std::size_t backends_box = 0;       ///< cached box-walk backends
@@ -428,7 +427,6 @@ class StreamEngine {
   std::unordered_map<StreamId, std::vector<std::uint8_t>>
       last_dump_;  ///< latest automatic dump per stream (dropped at drain)
   std::uint64_t dumps_written_ = 0;
-  std::uint64_t dumps_skipped_ = 0;
   std::uint64_t failure_hook_token_ = 0;  ///< 0 = no crash hook registered
 };
 

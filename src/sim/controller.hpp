@@ -1,11 +1,10 @@
 // controller.hpp — control-law interface for the closed loop.
 //
 // §2's system model: at each control step the controller maps the state
-// estimate x̄_t (and the reference) to a control input u_t.  Concrete laws
-// live in pid.hpp and lqr.hpp; the simulator only sees this interface.
+// estimate x̄_t (and the reference) to a control input u_t.  The concrete
+// law lives in pid.hpp; the simulator only sees this interface.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
 #include "core/ckpt.hpp"
@@ -45,17 +44,9 @@ class Controller {
   /// Snapshot hooks (core::ckpt).  Each implementation writes a one-byte
   /// state tag followed by its mutable state; restore_state is called on an
   /// already-configured controller of the same concrete type and rejects a
-  /// foreign tag with kDataLoss.  The defaults serve stateless laws (LQR).
-  virtual void serialize_state(core::ckpt::Writer& w) const { w.u8(0); }
-  [[nodiscard]] virtual core::Status restore_state(core::ckpt::Reader& r) {
-    std::uint8_t tag = 0;
-    if (!r.u8(tag)) return r.status();
-    if (tag != 0) {
-      return core::Status{core::StatusCode::kDataLoss,
-                          "snapshot controller state tag mismatch"};
-    }
-    return core::Status::ok();
-  }
+  /// foreign tag with kDataLoss.
+  virtual void serialize_state(core::ckpt::Writer& w) const = 0;
+  [[nodiscard]] virtual core::Status restore_state(core::ckpt::Reader& r) = 0;
 };
 
 }  // namespace awd::sim

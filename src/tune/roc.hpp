@@ -6,7 +6,7 @@
 // including the detector-aware adversarial attacks, whose parameters track
 // the scaled threshold (the attacker knows the defense).  Sweeping s traces
 // the FAR/TPR trade-off; the trapezoid AUC condenses it to one gateable
-// number (tools/bench_compare fails on a > 2 % absolute drop).
+// number (tests/tune/roc_floor_test.cpp fails on a > 0.02 absolute drop).
 //
 // Everything is seeded and integer-counted, so curves and AUC values are
 // bit-identical across runs and thread counts.

@@ -361,8 +361,12 @@ TEST(Chaos, CorruptionNeverReachesEmittedMeasurement) {
   const Trace trace = system.run(100);
   for (const StepRecord& rec : trace) {
     expect_all_finite(rec, "corruption");
-    if (rec.t >= 40 && rec.t < 43) EXPECT_EQ(rec.fault, FaultKind::kCorruptNaN);
-    if (rec.t >= 60 && rec.t < 63) EXPECT_EQ(rec.fault, FaultKind::kCorruptInf);
+    if (rec.t >= 40 && rec.t < 43) {
+      EXPECT_EQ(rec.fault, FaultKind::kCorruptNaN);
+    }
+    if (rec.t >= 60 && rec.t < 63) {
+      EXPECT_EQ(rec.fault, FaultKind::kCorruptInf);
+    }
   }
 }
 

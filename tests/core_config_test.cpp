@@ -113,7 +113,9 @@ TEST(Config, TestbedMatchesSection62) {
 
 TEST(Config, EpsReachIsConservative) {
   for (const auto& c : table1_cases()) {
-    if (c.eps_reach != 0.0) EXPECT_GE(c.eps_reach, c.eps) << c.key;
+    if (c.eps_reach != 0.0) {
+      EXPECT_GE(c.eps_reach, c.eps) << c.key;
+    }
   }
 }
 

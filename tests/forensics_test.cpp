@@ -368,7 +368,6 @@ TEST(EngineForensics, AutoDumpOnAlarmReplaysBitIdentically) {
 
   const serve::EngineIntrospection intro = engine.introspect();
   ASSERT_GE(intro.dumps_written, 1u) << "bias attack did not trigger an alarm dump";
-  EXPECT_EQ(intro.dumps_skipped, 0u);
 
   core::Result<std::vector<std::uint8_t>> image = engine.last_dump(id.value());
   ASSERT_TRUE(image.is_ok()) << image.status().message();

@@ -103,7 +103,9 @@ TEST(Integration, AttackedRunsGoUnsafeOnlyAfterOnsetWhenCleanRunIsSafe) {
     if (clean.run().first_unsafe().has_value()) continue;  // noise-dominated plant
     DetectionSystem attacked(scase, AttackKind::kBias, 31);
     const auto unsafe = attacked.run().first_unsafe();
-    if (unsafe) EXPECT_GE(*unsafe, scase.attack_start) << scase.key;
+    if (unsafe) {
+      EXPECT_GE(*unsafe, scase.attack_start) << scase.key;
+    }
   }
 }
 

@@ -23,27 +23,11 @@ namespace {
 
 using namespace awd;
 
-const char* attack_name(AttackKind k) {
-  switch (k) {
-    case AttackKind::kNone: return "none";
-    case AttackKind::kBias: return "bias";
-    case AttackKind::kDelay: return "delay";
-    case AttackKind::kReplay: return "replay";
-    case AttackKind::kFreeze: return "freeze";
-    case AttackKind::kRamp: return "ramp";
-    case AttackKind::kStealthyRamp: return "stealthy_ramp";
-    case AttackKind::kJitterReplay: return "jitter_replay";
-    case AttackKind::kCoordinatedBias: return "coordinated_bias";
-    case AttackKind::kIntermittentBias: return "intermittent_bias";
-  }
-  return "unknown";
-}
-
 void print_stream_text(const SnapshotStreamInfo& s, const char* label) {
   std::printf("  %-8s #%-4llu %-18s %-7s seed %-6llu %zu/%zu steps\n", label,
               static_cast<unsigned long long>(s.id), s.case_key.c_str(),
-              attack_name(s.attack), static_cast<unsigned long long>(s.seed),
-              s.steps_done, s.steps_total);
+              std::string(core::to_string(s.attack)).c_str(),
+              static_cast<unsigned long long>(s.seed), s.steps_done, s.steps_total);
 }
 
 void print_stream_json(const SnapshotStreamInfo& s, bool last) {
@@ -51,8 +35,8 @@ void print_stream_json(const SnapshotStreamInfo& s, bool last) {
       "      {\"id\": %llu, \"case\": \"%s\", \"attack\": \"%s\", "
       "\"seed\": %llu, \"steps_done\": %zu, \"steps_total\": %zu}%s\n",
       static_cast<unsigned long long>(s.id), s.case_key.c_str(),
-      attack_name(s.attack), static_cast<unsigned long long>(s.seed), s.steps_done,
-      s.steps_total, last ? "" : ",");
+      std::string(core::to_string(s.attack)).c_str(), static_cast<unsigned long long>(s.seed),
+      s.steps_done, s.steps_total, last ? "" : ",");
 }
 
 void print_text(const std::string& path, const SnapshotInfo& info) {

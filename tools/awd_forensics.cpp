@@ -26,22 +26,6 @@ namespace {
 
 using namespace awd;
 
-const char* attack_name(AttackKind k) {
-  switch (k) {
-    case AttackKind::kNone: return "none";
-    case AttackKind::kBias: return "bias";
-    case AttackKind::kDelay: return "delay";
-    case AttackKind::kReplay: return "replay";
-    case AttackKind::kFreeze: return "freeze";
-    case AttackKind::kRamp: return "ramp";
-    case AttackKind::kStealthyRamp: return "stealthy_ramp";
-    case AttackKind::kJitterReplay: return "jitter_replay";
-    case AttackKind::kCoordinatedBias: return "coordinated_bias";
-    case AttackKind::kIntermittentBias: return "intermittent_bias";
-  }
-  return "unknown";
-}
-
 /// Render a frame's flag bits as a compact mnemonic string ("A" adaptive
 /// alarm, "F" fixed alarm, "a" attack active, "u" unsafe, "m" sample
 /// missing, "e" estimate fallback, "q" quarantined, "d" deadline fallback).
@@ -68,7 +52,7 @@ void print_info_text(const std::string& path, const ForensicsDump& d) {
               static_cast<unsigned long long>(d.trigger_step),
               static_cast<unsigned long long>(d.steps_done), d.spec.steps);
   std::printf("  spec             %s, attack %s, seed %llu\n", d.spec.scase.key.c_str(),
-              attack_name(d.spec.attack),
+              std::string(core::to_string(d.spec.attack)).c_str(),
               static_cast<unsigned long long>(d.spec.seed));
   std::printf("  frames           %zu (steps %llu..%llu)\n", d.frames.size(),
               d.frames.empty() ? 0ULL
@@ -90,7 +74,7 @@ void print_info_json(const ForensicsDump& d) {
               static_cast<unsigned long long>(d.steps_done));
   std::printf("  \"ts_ns\": %llu,\n", static_cast<unsigned long long>(d.ts_ns));
   std::printf("  \"case\": \"%s\",\n", d.spec.scase.key.c_str());
-  std::printf("  \"attack\": \"%s\",\n", attack_name(d.spec.attack));
+  std::printf("  \"attack\": \"%s\",\n", std::string(core::to_string(d.spec.attack)).c_str());
   std::printf("  \"seed\": %llu,\n", static_cast<unsigned long long>(d.spec.seed));
   std::printf("  \"steps_total\": %zu,\n", d.spec.steps);
   std::printf("  \"frames\": %zu\n", d.frames.size());
