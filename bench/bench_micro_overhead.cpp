@@ -59,27 +59,20 @@ double lcg_unit(std::uint64_t& s) {
   return static_cast<double>(static_cast<std::int64_t>(s >> 11)) / 9.2e18;
 }
 
-/// Noise-robust per-step cost: minimum over `batches` batches of the mean
-/// ns across `steps` detection steps (interference only ever adds time).
-/// With a recorder, every step is also distilled into its flight frame —
-/// the serving engine's fully instrumented configuration.
-double min_batch_step_ns(core::DetectionSystem& system, obs::FlightRecorder* recorder,
-                         int batches, int steps) {
+/// Mean ns per detection step over one batch of `steps` steps.  With a
+/// recorder, every step is also distilled into its flight frame — the
+/// serving engine's fully instrumented configuration.
+double batch_step_ns(core::DetectionSystem& system, obs::FlightRecorder* recorder,
+                     int steps) {
   sim::StepRecord rec;
-  double best = std::numeric_limits<double>::infinity();
-  for (int b = 0; b < batches; ++b) {
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < steps; ++i) {
-      system.step_into(rec);
-      if (recorder != nullptr) recorder->record(rec);
-      bench::do_not_optimize(rec.t);
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    const double ns =
-        std::chrono::duration<double, std::nano>(stop - start).count() / steps;
-    best = std::min(best, ns);
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < steps; ++i) {
+    system.step_into(rec);
+    if (recorder != nullptr) recorder->record(rec);
+    bench::do_not_optimize(rec.t);
   }
-  return best;
+  const auto stop = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::nano>(stop - start).count() / steps;
 }
 
 /// Observability gate: per-step cost of the fully instrumented detection
@@ -99,13 +92,20 @@ bool obs_overhead_gate(double budget) {
               kBatches, kSteps);
   for (const char* key : kCaseKeys) {
     const core::SimulatorCase scase = core::simulator_case(key);
-    awd::obs::set_enabled(true);
     core::DetectionSystem on_system(scase, core::AttackKind::kNone, 1);
-    obs::FlightRecorder recorder(kRecorderDepth);
-    const double on_ns = min_batch_step_ns(on_system, &recorder, kBatches, kSteps);
-    awd::obs::set_enabled(false);
     core::DetectionSystem off_system(scase, core::AttackKind::kNone, 1);
-    const double off_ns = min_batch_step_ns(off_system, nullptr, kBatches, kSteps);
+    obs::FlightRecorder recorder(kRecorderDepth);
+    // Alternate on and off batches so host drift lands on both sides; the
+    // minimum of each side is its noise-robust cost (interference only
+    // ever adds time).
+    double on_ns = std::numeric_limits<double>::infinity();
+    double off_ns = on_ns;
+    for (int b = 0; b < kBatches; ++b) {
+      awd::obs::set_enabled(true);
+      on_ns = std::min(on_ns, batch_step_ns(on_system, &recorder, kSteps));
+      awd::obs::set_enabled(false);
+      off_ns = std::min(off_ns, batch_step_ns(off_system, nullptr, kSteps));
+    }
     std::printf("  %-16s on %8.1f ns   off %8.1f ns   overhead %+6.2f%%\n", key, on_ns,
                 off_ns, off_ns > 0.0 ? (on_ns - off_ns) / off_ns * 100.0 : 0.0);
     on_sum += on_ns;

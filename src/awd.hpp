@@ -90,7 +90,7 @@ using core::WindowSweepPoint;
 // Reachability deadline backends (§3 / DESIGN.md §17).  Backend is the
 // strategy interface; make_backend builds the kind a BackendSpec names.
 // The table pipeline (build_table → encode_table → decode_table →
-// make_table_backend) is the offline precompute flow tools/awd_reach runs.
+// make_table_backend) is the offline precompute flow `awd reach` runs.
 using core::make_backend_spec;
 using reach::Backend;
 using reach::BackendKind;

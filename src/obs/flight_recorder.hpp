@@ -13,7 +13,7 @@
 // dump racing a writer reads consistent frames instead of torn ones.
 //
 // Frames are plain data on purpose: serve::encode_dump frames them through
-// the core::ckpt codec into .awdfr images, and tools/awd_forensics replays
+// the core::ckpt codec into .awdfr images, and `awd forensics` replays
 // a dump through a fresh DetectionSystem and compares frames *bitwise*
 // (doubles as IEEE-754 bit patterns) — the determinism contract makes that
 // comparison exact at any thread count or AWD_SIMD level.

@@ -2,9 +2,8 @@
 //
 // The ingestion side of the observability layer: minimal, dependency-free
 // parsers for exactly the JSON this repo's exporters emit (metrics.json and
-// the Chrome trace-event trace.json), plus the pretty-printer shared by
-// tools/obs_report and `awd_diagnose --obs` (top-N slowest spans, per-stage
-// profile, counter table).  The parsers are scanners — they understand our
+// the Chrome trace-event trace.json), plus the pretty-printer behind
+// `awd obs` (top-N slowest spans, per-stage profile, counter table).  The parsers are scanners — they understand our
 // flat output, not arbitrary JSON.
 #pragma once
 

@@ -12,7 +12,7 @@
 //   * BoxBackend   (reach/deadline.hpp) — the paper's cached box
 //     support-function walk (ULP bound 0 against estimate_uncached).
 //   * TableBackend (reach/table.hpp)    — O(1) clamped nearest-cell lookup
-//     into an offline-precomputed grid of box deadlines (tools/awd_reach),
+//     into an offline-precomputed grid of box deadlines (`awd reach`),
 //     shipped through the core::ckpt codec with fingerprint/CRC framing.
 //
 // The base class owns the shared estimate / estimate_checked logic (seed

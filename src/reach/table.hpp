@@ -3,7 +3,7 @@
 // "Computationally Efficient Safe Control of Linear Systems under Severe
 // Sensor Attacks" motivates replacing per-step set propagation with cheap
 // precomputed safe-set checks.  This backend does exactly that for the
-// deadline query: an offline step (tools/awd_reach, or build_table() here)
+// deadline query: an offline step (`awd reach`, or build_table() here)
 // walks a uniform grid over a bounded box of trusted states and stores one
 // conservative deadline per cell; steady-state serving is then a clamped
 // nearest-cell lookup — no reach walk at all.

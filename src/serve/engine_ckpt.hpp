@@ -5,7 +5,7 @@
 // image *without* reconstructing any pipeline: the section-id vocabulary
 // of the v1 layout and describe_snapshot(), which parses an image down to
 // a structural summary (stream ids, case keys, progress, engine counters).
-// tools/awd_ckpt renders that summary as text or JSON.
+// `awd ckpt` renders that summary as text or JSON.
 //
 // v1 layout (core::ckpt framing, DESIGN.md §13):
 //   section 1  engine meta — counters + serving-policy options

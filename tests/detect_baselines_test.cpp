@@ -1,9 +1,8 @@
-// Unit tests for the CUSUM and chi-squared baseline detectors.
+// Unit tests for the CUSUM baseline detector.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
-#include "detect/chi2.hpp"
 #include "detect/cusum.hpp"
 
 namespace awd::detect {
@@ -64,29 +63,9 @@ TEST(Cusum, Validation) {
   EXPECT_THROW((void)det.update(Vec{0.1, 0.2}), std::invalid_argument);
 }
 
-TEST(Chi2, InstantaneousStatistic) {
-  const Chi2Detector det(Vec{0.1, 0.2}, 3.0);
-  // g = (0.2/0.1)^2 + (0.2/0.2)^2 = 4 + 1 = 5.
-  EXPECT_DOUBLE_EQ(det.normalized_square(Vec{0.2, 0.2}), 5.0);
-}
-
-TEST(Chi2, WindowedMeanOverLogger) {
-  DataLogger log(identity_model(), 10);
-  double est = 0.0;
-  (void)log.log(0, Vec{est}, Vec{0.0});
-  for (std::size_t t = 1; t <= 5; ++t) {
-    est += 0.1;  // residual 0.1 each step
-    (void)log.log(t, Vec{est}, Vec{0.0});
-  }
-  const Chi2Detector det(Vec{0.1}, 0.9, /*window=*/2);
-  const Chi2Decision d = det.step(log, 5);
-  EXPECT_NEAR(d.statistic, 1.0, 1e-12);  // each normalized square = 1
-  EXPECT_TRUE(d.alarm);
-}
-
 // Boundary regimes: alarms are strict (> threshold), so landing *exactly*
-// on the threshold must stay silent — the conservative tie-break both
-// detectors share with the paper's window test.
+// on the threshold must stay silent — the conservative tie-break the
+// detector shares with the paper's window test.
 TEST(Cusum, ThresholdExactlyHitDoesNotAlarm) {
   CusumDetector det(Vec{0.0}, Vec{0.5}, /*reset_on_alarm=*/false);
   EXPECT_FALSE(det.update(Vec{0.5}).alarm);  // S = 0.5 == h
@@ -103,56 +82,6 @@ TEST(Cusum, ZeroVarianceChannelStaysSilentUnderZeroResidual) {
   }
   EXPECT_DOUBLE_EQ(det.statistic()[0], 0.0);
   EXPECT_DOUBLE_EQ(det.statistic()[1], 0.0);  // 0.05 < drift, clamped each step
-}
-
-TEST(Chi2, ThresholdExactlyHitDoesNotAlarm) {
-  DataLogger log(identity_model(), 5);
-  (void)log.log(0, Vec{0.0}, Vec{0.0});
-  (void)log.log(1, Vec{0.1}, Vec{0.0});  // residual exactly 0.1 = sigma
-  const Chi2Detector det(Vec{0.1}, /*threshold=*/1.0, /*window=*/0);
-  const Chi2Decision d = det.step(log, 1);
-  EXPECT_DOUBLE_EQ(d.statistic, 1.0);  // normalized square lands on threshold
-  EXPECT_FALSE(d.alarm);
-}
-
-TEST(Chi2, ZeroVarianceSigmaIsRejectedPerChannel) {
-  // sigma = 0 would make 1/sigma^2 infinite: the constructor must refuse a
-  // zero-variance channel no matter where it sits in the vector.
-  EXPECT_THROW(Chi2Detector(Vec{0.1, 0.0}, 1.0), std::invalid_argument);
-  EXPECT_THROW(Chi2Detector(Vec{0.1, -0.2}, 1.0), std::invalid_argument);
-}
-
-TEST(Chi2, SingleStepWindowUsesOnlyTheCurrentResidual) {
-  DataLogger log(identity_model(), 10);
-  (void)log.log(0, Vec{0.0}, Vec{0.0});
-  (void)log.log(1, Vec{1.0}, Vec{0.0});  // residual 1.0 (huge)
-  (void)log.log(2, Vec{1.0}, Vec{0.0});  // residual 0.0
-  const Chi2Detector inst(Vec{0.1}, 0.5, /*window=*/0);
-  // window = 0 is instantaneous: the huge residual at t=1 must not leak
-  // into the statistic at t=2.
-  EXPECT_TRUE(inst.step(log, 1).alarm);
-  const Chi2Decision at2 = inst.step(log, 2);
-  EXPECT_DOUBLE_EQ(at2.statistic, 0.0);
-  EXPECT_FALSE(at2.alarm);
-}
-
-TEST(Chi2, WindowClampsAtStreamStartInsteadOfUnderflowing) {
-  DataLogger log(identity_model(), 10);
-  (void)log.log(0, Vec{0.2}, Vec{0.0});  // first entry: residual defined as 0
-  const Chi2Detector det(Vec{0.1}, 0.5, /*window=*/4);
-  // t=0 with window 4: only one retained point; must not underflow t - w.
-  const Chi2Decision d = det.step(log, 0);
-  EXPECT_DOUBLE_EQ(d.statistic, 0.0);
-  EXPECT_FALSE(d.alarm);
-}
-
-TEST(Chi2, Validation) {
-  EXPECT_THROW(Chi2Detector(Vec{}, 1.0), std::invalid_argument);
-  EXPECT_THROW(Chi2Detector(Vec{0.0}, 1.0), std::invalid_argument);
-  const Chi2Detector det(Vec{0.1}, 1.0);
-  EXPECT_THROW((void)det.normalized_square(Vec{0.1, 0.1}), std::invalid_argument);
-  DataLogger log(identity_model(), 5);
-  EXPECT_THROW((void)det.step(log, 3), std::out_of_range);
 }
 
 }  // namespace

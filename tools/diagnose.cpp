@@ -1,56 +1,26 @@
-// diagnose — calibration/diagnostic tool (not part of the benchmark set).
+// awd diagnose / awd obs — host, run and observability diagnostics.
 //
-// Usage: awd_diagnose                               (build/host diagnostics)
-//        awd_diagnose <case_key> <attack> [seed]
-//        awd_diagnose --obs <obs-dir> [--top N]
+// `awd diagnose` with no arguments reports the build/host facts a bug
+// report or bench JSON should carry — most importantly the compiled,
+// runtime-detected and active SIMD kernel levels (DESIGN.md §14).  The
+// per-case form prints per-phase residual statistics, deadline
+// distribution, alarm locations for both strategies, and run metrics —
+// everything needed to calibrate the free parameters (sensor noise, attack
+// magnitude) against the paper's reported shapes.
 //
-// With no arguments it reports the build/host diagnostics a bug report or
-// bench JSON should carry — most importantly the compiled, runtime-detected
-// and active SIMD kernel levels (DESIGN.md §14).  The per-case form prints
-// per-phase residual statistics, deadline distribution, alarm locations for
-// both strategies, and run metrics — everything needed to calibrate the free
-// parameters (sensor noise, attack magnitude) against the paper's reported
-// shapes.  The --obs form ingests a directory written by --obs-out and
-// pretty-prints it (counter tables, per-stage profile, top-N slowest spans).
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <string>
+// `awd obs` ingests a directory written by --obs-out and pretty-prints it:
+// the SIMD line, counter/gauge tables, derived ratios, per-stage profile,
+// the window-size histogram, and the top-N slowest trace spans.  CI runs
+// it over the archived trace directory so the numbers appear in the job
+// log next to the artifact.
+#include <algorithm>
+#include <cstdint>
 
-#include "awd.hpp"
-#include "linalg/kernels.hpp"
-#include "obs/report.hpp"  // internal: --obs directory pretty-printer
+#include "cli.hpp"
+#include "obs/report.hpp"
 
+namespace awd::cli {
 namespace {
-
-using namespace awd;
-
-/// The three SIMD dispatch facts every report should record: what the
-/// binary was built with (AWD_SIMD), what the host CPU allows, and what the
-/// dispatch is actually serving (differs only under an AWD_SIMD env
-/// override or an in-process force_level pin).
-void print_simd_levels() {
-  namespace kn = linalg::kernels;
-  std::printf("simd: compiled=%s runtime=%s active=%s (lane width %zu)\n",
-              kn::level_name(kn::compiled_level()), kn::level_name(kn::runtime_level()),
-              kn::level_name(kn::active_level()), kn::lane_width(kn::active_level()));
-}
-
-AttackKind parse_attack(const std::string& s) {
-  if (s == "none") return AttackKind::kNone;
-  if (s == "bias") return AttackKind::kBias;
-  if (s == "delay") return AttackKind::kDelay;
-  if (s == "replay") return AttackKind::kReplay;
-  if (s == "ramp") return AttackKind::kRamp;
-  if (s == "freeze") return AttackKind::kFreeze;
-  if (s == "stealthy_ramp") return AttackKind::kStealthyRamp;
-  if (s == "jitter_replay") return AttackKind::kJitterReplay;
-  if (s == "coordinated_bias") return AttackKind::kCoordinatedBias;
-  if (s == "intermittent_bias") return AttackKind::kIntermittentBias;
-  std::fprintf(stderr, "unknown attack '%s'\n", s.c_str());
-  std::exit(1);
-}
 
 void print_alarm_ranges(const Trace& trace, bool adaptive, const char* label) {
   std::printf("  %s alarms: ", label);
@@ -74,44 +44,22 @@ void print_alarm_ranges(const Trace& trace, bool adaptive, const char* label) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (argc >= 3 && std::strcmp(argv[1], "--obs") == 0) {
-    std::size_t top_n = 10;
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-        top_n = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-      } else if (std::strncmp(argv[i], "--top=", 6) == 0) {
-        top_n = static_cast<std::size_t>(std::strtoul(argv[i] + 6, nullptr, 10));
-      }
-    }
-    if (!obs::print_obs_summary(argv[2], top_n)) {
-      std::fprintf(stderr, "diagnose: %s has neither metrics.json nor trace.json\n",
-                   argv[2]);
-      return 1;
-    }
-    return 0;
+int run_diagnose(const Args& args) {
+  if (args.count() == 0) {
+    std::printf("awd diagnose — build/host diagnostics\n");
+    print_simd_line();
+    std::printf("\n");
+    print_usage(stdout, args.usage_lines());
+    return kOk;
   }
-  if (argc == 1) {
-    std::printf("awd_diagnose — build/host diagnostics\n");
-    print_simd_levels();
-    std::printf("\nusage: %s <case_key> <attack> [seed]\n"
-                "       %s --obs <obs-dir> [--top N]\n",
-                argv[0], argv[0]);
-    return 0;
-  }
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: %s <case_key> <attack> [seed]\n"
-                 "       %s --obs <obs-dir> [--top N]\n",
-                 argv[0], argv[0]);
-    return 1;
-  }
-  const awd::SimulatorCase scase = awd::simulator_case(argv[1]);
-  const awd::AttackKind attack = parse_attack(argv[2]);
-  const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
+  if (args.count() > 3) usage();
+  const SimulatorCase scase = lookup_case(args.at(0));
+  const std::string& attack_name = args.at(1);
+  const AttackKind attack = lookup_attack(attack_name);
+  const std::uint64_t seed = args.count() > 2 ? parse_u64("seed", args.at(2)) : 1;
 
-  awd::DetectionSystem system(scase, attack, seed);
-  const awd::Trace trace = system.run();
+  DetectionSystem system(scase, attack, seed);
+  const Trace trace = system.run();
   const std::size_t n = scase.model.state_dim();
   const std::size_t a0 = scase.attack_start;
   const std::size_t a1 = a0 + scase.attack_duration;
@@ -126,9 +74,9 @@ int main(int argc, char** argv) {
                           {"attack    ", a0, a1},
                           {"recovery  ", a1, trace.size()}};
 
-  std::printf("%s / %s / seed %llu  (tau[0]=%g)\n", scase.key.c_str(), argv[2],
+  std::printf("%s / %s / seed %llu  (tau[0]=%g)\n", scase.key.c_str(), attack_name.c_str(),
               static_cast<unsigned long long>(seed), scase.tau[0]);
-  print_simd_levels();
+  print_simd_line();
   std::printf("\nresidual mean per dim (vs tau):\n");
   for (const Phase& ph : phases) {
     if (ph.hi <= ph.lo) continue;
@@ -162,12 +110,10 @@ int main(int argc, char** argv) {
   print_alarm_ranges(trace, true, "adaptive");
   print_alarm_ranges(trace, false, "fixed   ");
 
-  awd::MetricsOptions opts;
+  MetricsOptions opts;
   opts.warmup = 100;
-  const auto ma = awd::compute_metrics(trace, a0, scase.attack_duration,
-                                       awd::Strategy::kAdaptive, opts);
-  const auto mf = awd::compute_metrics(trace, a0, scase.attack_duration,
-                                       awd::Strategy::kFixed, opts);
+  const auto ma = compute_metrics(trace, a0, scase.attack_duration, Strategy::kAdaptive, opts);
+  const auto mf = compute_metrics(trace, a0, scase.attack_duration, Strategy::kFixed, opts);
   std::printf("\nadaptive: fp_rate %.3f fp_exp %d dm %d delay %s (deadline %zu)\n",
               ma.fp_rate, ma.fp_experiment, ma.deadline_miss,
               ma.detection_delay ? std::to_string(*ma.detection_delay).c_str() : "-",
@@ -177,5 +123,18 @@ int main(int argc, char** argv) {
               mf.detection_delay ? std::to_string(*mf.detection_delay).c_str() : "-");
   std::printf("first unsafe: %s\n",
               ma.first_unsafe ? std::to_string(*ma.first_unsafe).c_str() : "never");
-  return 0;
+  return kOk;
 }
+
+int run_obs(const Args& args) {
+  const std::string& dir = args.at(0);
+  if (args.count() != 1) usage();
+  const std::size_t top_n = args.u64("--top", 10);
+  print_simd_line();
+  if (!obs::print_obs_summary(dir, top_n)) {
+    throw Exit{kFailed, dir + " has neither metrics.json nor trace.json"};
+  }
+  return kOk;
+}
+
+}  // namespace awd::cli
