@@ -110,5 +110,16 @@ TEST(Calibration, StricterToleranceGivesSmallerOrEqualWindow) {
   EXPECT_LE(ws, wl);
 }
 
+TEST(Calibration, PinnedThresholdForFixedSeed) {
+  // Cross-commit pin: tau from 4 clean vehicle-turning runs at seed 2022,
+  // recorded from an earlier build and compared bitwise.
+  const SimulatorCase scase = simulator_case("vehicle_turning");
+  ThresholdCalibrationOptions opts;
+  opts.runs = 4;
+  const Vec tau = calibrate_threshold(scase, 2022, opts);
+  ASSERT_EQ(tau.size(), 1u);
+  EXPECT_EQ(tau[0], 0x1.99d949f6cb92p-4);
+}
+
 }  // namespace
 }  // namespace awd::core

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/noise.hpp"
+
 namespace awd::core {
 namespace {
 
@@ -210,6 +212,65 @@ TEST(Experiment, SweepIsDeterministic) {
   const auto b = fixed_window_sweep(spec).value();
   EXPECT_EQ(a[0].fp_experiments, b[0].fp_experiments);
   EXPECT_EQ(a[1].fn_experiments, b[1].fn_experiments);
+}
+
+TEST(Experiment, PinnedFixedWindowSweepForFixedSeed) {
+  // Cross-commit pin of one Fig. 7 sweep (aircraft pitch x bias, 10 runs,
+  // Fig. 7's scoring).  The thread-count tests compare two runs of the same
+  // code; this one compares against values recorded from an earlier build.
+  SimulatorCase scase = simulator_case("aircraft_pitch");
+  scase.attack_duration = 15;
+  MetricsOptions opts;
+  opts.warmup = 100;
+  const auto points = fixed_window_sweep({.scase = scase,
+                                          .attack = AttackKind::kBias,
+                                          .windows = {0, 2, 4, 60, 100},
+                                          .runs = 10,
+                                          .base_seed = 2022,
+                                          .metrics = opts,
+                                          .threads = 3})
+                          .value();
+  const std::vector<WindowSweepPoint> expected = {
+      {.window = 0, .fp_experiments = 10, .fn_experiments = 0},
+      {.window = 2, .fp_experiments = 10, .fn_experiments = 0},
+      {.window = 4, .fp_experiments = 9, .fn_experiments = 0},
+      {.window = 60, .fp_experiments = 0, .fn_experiments = 1},
+      {.window = 100, .fp_experiments = 0, .fn_experiments = 10},
+  };
+  EXPECT_EQ(points, expected);
+}
+
+TEST(Experiment, RunCellMatchesTraceScoredRunsAcrossAttacksAndThreads) {
+  // run_cell against the trace-scored oracle: run_cell_once per seed (a
+  // whole Trace scored by compute_metrics), reduced by reduce_cell.  The
+  // per-run seed and the post-attack guard default are run_cell's own.
+  const SimulatorCase scase = simulator_case("aircraft_pitch");
+  MetricsOptions opts;
+  opts.warmup = 100;
+  opts.fp_threshold = 0.01;
+  MetricsOptions oracle_opts = opts;
+  oracle_opts.post_attack_guard = scase.max_window;
+  constexpr std::size_t kRuns = 6;
+  constexpr std::uint64_t kBaseSeed = 2022;
+  for (const AttackKind attack : {AttackKind::kBias, AttackKind::kDelay, AttackKind::kReplay,
+                                  AttackKind::kStealthyRamp}) {
+    std::vector<CellRunOutcome> outcomes;
+    for (std::size_t r = 0; r < kRuns; ++r) {
+      const std::uint64_t seed = sim::splitmix64(kBaseSeed + 0x51a3c0de00000000ULL + r);
+      outcomes.push_back(run_cell_once(scase, attack, seed, oracle_opts));
+    }
+    const CellResult oracle = reduce_cell(scase, attack, outcomes);
+    for (const std::size_t threads : {1u, 3u}) {
+      const CellResult cell = run_cell({.scase = scase,
+                                        .attack = attack,
+                                        .runs = kRuns,
+                                        .base_seed = kBaseSeed,
+                                        .metrics = opts,
+                                        .threads = threads})
+                                  .value();
+      EXPECT_EQ(cell, oracle) << to_string(attack) << " at " << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

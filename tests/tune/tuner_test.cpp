@@ -225,5 +225,49 @@ TEST(Roc, RejectsDegenerateOptions) {
   }
 }
 
+TEST(Tuner, PinnedDcMotorReport) {
+  // Cross-commit pin of one whole tuning run (dc_motor, 6 trials).  The
+  // thread-count tests compare two runs of the same code; these values were
+  // recorded from an earlier build and are compared bitwise.
+  TuneOptions opts;
+  opts.trials = 6;
+  opts.threads = 3;
+  const TuneReport r = tune_detector(core::simulator_case("dc_motor"), opts).value();
+  EXPECT_EQ(r.scale, 0x1.6a09e667f3bcdp+0);
+  EXPECT_EQ(r.achieved_far, 0x1.47124d7d44382p-6);
+  EXPECT_EQ(r.achieved_far_fixed, 0x0p+0);
+  EXPECT_EQ(r.iterations, 3u);
+  EXPECT_EQ(r.clean_steps, 2154u);
+  EXPECT_TRUE(r.converged);
+  const Vec sigma{0x1.228a0e10a07c5p-4, 0x1.25662185d0866p-4, 0x1.22142d67c7cb1p-4};
+  const Vec tau0{0x1.2c47ef5633718p-4, 0x1.2f3c8ea8e9512p-4, 0x1.2bce1adc3fde1p-4};
+  const Vec tau{0x1.a8a95539dea4dp-4, 0x1.acd75bc7681c3p-4, 0x1.a7fd0a0f4d8ebp-4};
+  ASSERT_EQ(r.sigma.size(), 3u);
+  for (std::size_t d = 0; d < 3; ++d) {
+    EXPECT_EQ(r.sigma[d], sigma[d]) << d;
+    EXPECT_EQ(r.tau0[d], tau0[d]) << d;
+    EXPECT_EQ(r.tuned.tau[d], tau[d]) << d;
+  }
+}
+
+TEST(Roc, PinnedAircraftPitchCurve) {
+  // Cross-commit pin of one ROC curve at the RocFloor options.
+  RocOptions opts;
+  opts.scales = {0.45, 0.7, 1.0, 1.4, 2.0};
+  opts.far_trials = 6;
+  opts.tpr_trials = 4;
+  opts.threads = 3;
+  const RocCurve c = roc_sweep(core::simulator_case("aircraft_pitch"), opts).value();
+  const double far[] = {0x1.ff4972cecbf1cp-1, 0x1.44eea5e9a80d5p-1, 0x1.029d5b09bedefp-5,
+                        0x1.e6cdd88ad0b2cp-11, 0x0p+0};
+  const std::size_t detected[] = {16, 16, 16, 12, 8};
+  ASSERT_EQ(c.points.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(c.points[i].far, far[i]) << i;
+    EXPECT_EQ(c.points[i].detected, detected[i]) << i;
+  }
+  EXPECT_EQ(c.auc, 0x1.fddc586c63d53p-1);
+}
+
 }  // namespace
 }  // namespace awd::tune
