@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
 
   bench::heading(
       "Table 2 — #FP and #DM out of 100 runs, adaptive vs fixed window\n"
-      "(#FP: runs with false-positive rate > 10%; #DM: runs missing the deadline)");
+      "(#FP: runs with false-positive rate > 1%; #DM: runs missing the deadline)");
 
   const core::AttackKind attacks[] = {core::AttackKind::kBias, core::AttackKind::kDelay,
                                       core::AttackKind::kReplay};

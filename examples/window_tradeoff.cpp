@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
 
   // Optional first argument: worker threads for the sweep (0 = all cores);
   // results are bit-identical regardless.
-  ExecutionConfig exec;
-  if (argc > 1) exec.threads = static_cast<std::size_t>(std::strtoul(argv[1], nullptr, 10));
+  std::size_t threads = 0;
+  if (argc > 1) threads = static_cast<std::size_t>(std::strtoul(argv[1], nullptr, 10));
 
   const std::vector<std::size_t> windows = {0, 2, 5, 10, 15, 20, 30, 40, 60, 80, 100};
   MetricsOptions options;
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
                                           .runs = 50,
                                           .base_seed = 1234,
                                           .metrics = options,
-                                          .threads = exec.threads})
+                                          .threads = threads})
                           .value();
 
   std::printf("Series RLC, 15-step bias attack, 50 runs per window size\n\n");

@@ -59,7 +59,6 @@ using linalg::Matrix;
 using linalg::Vec;
 
 using core::AttackKind;
-using core::ExecutionConfig;
 using core::SimulatorCase;
 using core::simulator_case;
 using core::table1_cases;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/detection_system.hpp"
 #include "sim/noise.hpp"
 
 namespace awd::core {
@@ -20,17 +19,8 @@ Vec calibrate_threshold(const SimulatorCase& scase, std::uint64_t seed,
   std::vector<std::vector<double>> samples(n);
 
   for (std::size_t r = 0; r < options.runs; ++r) {
-    sim::Plant plant(scase.model, scase.u_range, scase.eps, scase.x0);
-    sim::SimulatorOptions opts;
-    opts.x0 = scase.x0;
-    opts.reference = scase.reference;
-    opts.sensor_noise = scase.sensor_noise;
-    opts.seed = sim::splitmix64(seed + 0xca11b0a7ULL + r);
-    opts.predict_with_commanded = scase.predict_with_commanded;
-    opts.reference_schedule = scase.reference_schedule;
-    opts.reference_sinusoids = scase.reference_sinusoids;
-    sim::Simulator simulator(std::move(plant), scase.make_controller(),
-                             std::make_shared<attack::NoAttack>(), std::move(opts));
+    sim::Simulator simulator =
+        scase.make_simulator(AttackKind::kNone, sim::splitmix64(seed + 0xca11b0a7ULL + r));
     for (std::size_t t = 0; t < scase.steps; ++t) {
       const sim::StepRecord rec = simulator.step();
       if (t < options.warmup) continue;
@@ -66,7 +56,7 @@ MaxWindowProfile profile_max_window(const SimulatorCase& scase, AttackKind attac
                           .runs = options.runs,
                           .base_seed = seed,
                           .metrics = options.metrics,
-                          .threads = options.exec.threads});
+                          .threads = options.threads});
   if (!sweep.is_ok()) {
     throw std::invalid_argument("profile_max_window: " +
                                 std::string(sweep.status().message()));

@@ -49,7 +49,7 @@ struct MaxWindowOptions {
   std::size_t window_stride = 5;   ///< sweep granularity
   std::size_t fn_tolerance = 3;    ///< acceptable FN experiments (paper: 3/100)
   MetricsOptions metrics;          ///< FP/FN counting parameters
-  ExecutionConfig exec;            ///< thread count for the underlying sweep
+  std::size_t threads = 0;         ///< sweep workers (0 = auto; bit-identical at any value)
 };
 
 /// Choose w_m as the largest swept window whose FN-experiment count is

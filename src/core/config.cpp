@@ -48,6 +48,23 @@ std::unique_ptr<sim::Controller> SimulatorCase::make_controller() const {
   return std::make_unique<sim::PidController>(pid, tracked_dims, output_map, model.dt);
 }
 
+sim::Simulator SimulatorCase::make_simulator(AttackKind attack, std::uint64_t seed,
+                                             std::shared_ptr<fault::FaultInjector> faults,
+                                             bool lean_records) const {
+  sim::SimulatorOptions opts;
+  opts.x0 = x0;
+  opts.reference = reference;
+  opts.sensor_noise = sensor_noise;
+  opts.seed = seed;
+  opts.predict_with_commanded = predict_with_commanded;
+  opts.reference_schedule = reference_schedule;
+  opts.reference_sinusoids = reference_sinusoids;
+  opts.faults = std::move(faults);
+  opts.lean_records = lean_records;
+  return sim::Simulator(sim::Plant(model, u_range, eps, x0), make_controller(),
+                        make_attack(attack), std::move(opts));
+}
+
 std::shared_ptr<const attack::Attack> SimulatorCase::make_attack(AttackKind kind) const {
   using namespace awd::attack;
   const AttackWindow window{attack_start, attack_duration};

@@ -47,17 +47,6 @@ enum class AttackKind {
   kIntermittentBias,  ///< bias duty-cycled so window means never integrate it
 };
 
-/// Parallel-execution knob shared by the Monte-Carlo workloads (run_cell,
-/// fixed_window_sweep) and their bench/example entry points.  Results are
-/// bit-identical for every thread count (deterministic seed partitioning +
-/// ordered reduction, see core/parallel.hpp), so this only trades wall
-/// clock for cores.
-struct ExecutionConfig {
-  /// Worker threads: 0 = auto (AWD_THREADS env var, else hardware
-  /// concurrency), 1 = serial escape hatch, n = exactly n workers.
-  std::size_t threads = 0;
-};
-
 /// Stable lowercase name of an AttackKind ("bias", "stealthy_ramp", ...).
 [[nodiscard]] std::string_view to_string(AttackKind kind) noexcept;
 
@@ -129,6 +118,13 @@ struct SimulatorCase {
 
   /// Attack object for the given scenario using this case's defaults.
   [[nodiscard]] std::shared_ptr<const attack::Attack> make_attack(AttackKind kind) const;
+
+  /// The closed loop of this case under `attack`, seeded with `seed`; the
+  /// last two arguments go to sim::SimulatorOptions.
+  [[nodiscard]] sim::Simulator make_simulator(
+      AttackKind attack, std::uint64_t seed,
+      std::shared_ptr<fault::FaultInjector> faults = nullptr,
+      bool lean_records = false) const;
 
   /// Non-throwing configuration check: returns the first violation as a
   /// Status (kInvalidInput with a static, field-naming message), or OK.

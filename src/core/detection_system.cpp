@@ -54,24 +54,6 @@ struct StepObs {
   }
 };
 
-sim::Simulator build_simulator(const SimulatorCase& scase, AttackKind attack,
-                               std::uint64_t seed, const DetectionSystemOptions& options,
-                               std::shared_ptr<fault::FaultInjector> faults) {
-  sim::Plant plant(scase.model, scase.u_range, scase.eps, scase.x0);
-  sim::SimulatorOptions opts;
-  opts.x0 = scase.x0;
-  opts.reference = scase.reference;
-  opts.sensor_noise = scase.sensor_noise;
-  opts.seed = seed;
-  opts.predict_with_commanded = scase.predict_with_commanded;
-  opts.reference_schedule = scase.reference_schedule;
-  opts.reference_sinusoids = scase.reference_sinusoids;
-  opts.faults = std::move(faults);
-  opts.lean_records = options.lean_records;
-  return sim::Simulator(std::move(plant), scase.make_controller(),
-                        scase.make_attack(attack), std::move(opts));
-}
-
 }  // namespace
 
 DetectionSystem::DetectionSystem(AssembleTag, const SimulatorCase& scase,
@@ -81,7 +63,7 @@ DetectionSystem::DetectionSystem(AssembleTag, const SimulatorCase& scase,
       faults_(options.fault_plan.empty()
                   ? nullptr
                   : std::make_shared<fault::FaultInjector>(std::move(options.fault_plan))),
-      simulator_(build_simulator(scase, attack, seed, options, faults_)),
+      simulator_(scase.make_simulator(attack, seed, faults_, options.lean_records)),
       logger_(scase.model, scase.max_window),
       // create() validated (or built) the shared backend; never null here.
       estimator_(std::move(options.shared_deadline_estimator)),

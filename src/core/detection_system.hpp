@@ -65,9 +65,9 @@ struct DetectionSystemOptions {
   bool lean_records = false;
 
   /// When false, step() skips its per-stage StageClock marks (the five
-  /// pipeline span timers).  Counters still count.  Serving paths that
-  /// aggregate their own per-shard timers turn this off; the detection
-  /// outputs are unaffected either way.
+  /// pipeline span timers).  Counters still count.  Serving paths and
+  /// core::run_batch turn this off; the detection outputs are unaffected
+  /// either way.
   bool per_step_obs = true;
 };
 

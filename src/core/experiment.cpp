@@ -1,6 +1,7 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "core/detection_system.hpp"
@@ -74,17 +75,7 @@ SweepRunOutcome sweep_run_once(const SimulatorCase& scase, AttackKind attack,
   const std::size_t attack_end = scase.attack_start + scase.attack_duration;
 
   // Simulate once; the residual stream is detector-independent.
-  sim::Plant plant(scase.model, scase.u_range, scase.eps, scase.x0);
-  sim::SimulatorOptions opts;
-  opts.x0 = scase.x0;
-  opts.reference = scase.reference;
-  opts.sensor_noise = scase.sensor_noise;
-  opts.seed = seed;
-  opts.predict_with_commanded = scase.predict_with_commanded;
-  opts.reference_schedule = scase.reference_schedule;
-  opts.reference_sinusoids = scase.reference_sinusoids;
-  sim::Simulator simulator(std::move(plant), scase.make_controller(),
-                           scase.make_attack(attack), std::move(opts));
+  sim::Simulator simulator = scase.make_simulator(attack, seed);
 
   // Per-dimension prefix sums of the residuals: prefix[d][t+1] - wait-free
   // window means for every size.
@@ -140,20 +131,43 @@ SweepRunOutcome sweep_run_once(const SimulatorCase& scase, AttackKind attack,
 
 }  // namespace
 
+Result<std::shared_ptr<const reach::Backend>> make_batch_backend(const SimulatorCase& scase) {
+  Result<std::unique_ptr<reach::Backend>> built =
+      reach::make_backend(make_backend_spec(scase, 0.0, 0));
+  if (!built.is_ok()) return built.status();
+  return std::shared_ptr<const reach::Backend>(std::move(built).value());
+}
+
+void run_batch(const SimulatorCase& scase, const std::shared_ptr<const reach::Backend>& backend,
+               std::size_t runs, std::size_t threads,
+               const std::function<BatchRun(std::size_t run)>& plan,
+               const std::function<bool(std::size_t run, const sim::StepRecord& rec,
+                                        const DetectionSystem& system)>& visit,
+               obs::Timer* run_timer) {
+  parallel_for(runs, threads, [&](std::size_t r) {
+    std::optional<obs::ScopedSpan> span;
+    if (run_timer) span.emplace(*run_timer, "batch_run", "experiment");
+    const BatchRun run = plan(r);
+    DetectionSystemOptions options;
+    options.lean_records = true;
+    options.per_step_obs = false;
+    options.shared_deadline_estimator = backend;
+    DetectionSystem system(scase, run.attack, run.seed, std::move(options));
+    sim::StepRecord rec;
+    for (std::size_t t = 0; t < scase.steps; ++t) {
+      system.step_into(rec);
+      if (!visit(r, rec, system)) break;
+    }
+  });
+}
+
 CellRunOutcome run_cell_once(const SimulatorCase& scase, AttackKind attack,
                              std::uint64_t seed, const MetricsOptions& options) {
-  ExperimentObs& ob = ExperimentObs::get();
-  ob.cell_runs.inc();
-  const obs::ScopedSpan span(ob.cell_run, "cell_run", "experiment");
-  DetectionSystem system(scase, attack, seed);
-  const sim::Trace trace = system.run();
-
-  CellRunOutcome outcome;
-  outcome.adaptive = compute_metrics(trace, scase.attack_start, scase.attack_duration,
-                                     Strategy::kAdaptive, options);
-  outcome.fixed = compute_metrics(trace, scase.attack_start, scase.attack_duration,
-                                  Strategy::kFixed, options);
-  return outcome;
+  const sim::Trace trace = DetectionSystem(scase, attack, seed).run();
+  return {.adaptive = compute_metrics(trace, scase.attack_start, scase.attack_duration,
+                                      Strategy::kAdaptive, options),
+          .fixed = compute_metrics(trace, scase.attack_start, scase.attack_duration,
+                                   Strategy::kFixed, options)};
 }
 
 CellResult reduce_cell(const SimulatorCase& scase, AttackKind attack,
@@ -227,14 +241,27 @@ Result<CellResult> run_cell(const ExperimentSpec& spec) {
   MetricsOptions opts = spec.metrics;
   if (opts.post_attack_guard == 0) opts.post_attack_guard = spec.scase.max_window;
 
-  // Each run is independent (seed derived from the run index, not from any
-  // shared RNG state); slot r receives run r's outcome no matter which
-  // worker computes it, and reduce_cell walks the slots in order.
-  std::vector<CellRunOutcome> outcomes(spec.runs);
-  parallel_for(spec.runs, spec.threads, [&](std::size_t r) {
-    outcomes[r] =
-        run_cell_once(spec.scase, spec.attack, run_seed(spec.base_seed, r), opts);
-  });
+  Result<std::shared_ptr<const reach::Backend>> backend = make_batch_backend(spec.scase);
+  if (!backend.is_ok()) return backend.status();
+
+  ExperimentObs& ob = ExperimentObs::get();
+  ob.cell_runs.inc(spec.runs);
+  std::vector<StreamingMetrics> scores(
+      spec.runs, StreamingMetrics(spec.scase.attack_start, spec.scase.attack_duration, opts));
+  run_batch(
+      spec.scase, backend.value(), spec.runs, spec.threads,
+      [&](std::size_t r) { return BatchRun{spec.attack, run_seed(spec.base_seed, r)}; },
+      [&](std::size_t r, const sim::StepRecord& rec, const DetectionSystem&) {
+        scores[r].observe(rec);
+        return true;
+      },
+      &ob.cell_run);
+
+  std::vector<CellRunOutcome> outcomes;
+  outcomes.reserve(spec.runs);
+  for (const StreamingMetrics& m : scores) {
+    outcomes.push_back({m.finish(Strategy::kAdaptive), m.finish(Strategy::kFixed)});
+  }
   return reduce_cell(spec.scase, spec.attack, outcomes);
 }
 

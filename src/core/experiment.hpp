@@ -1,33 +1,58 @@
 // experiment.hpp — Monte-Carlo experiment runners (§6.1's protocol).
 //
-// Two workloads drive the paper's quantitative results:
-//   * run_cell        — 100 seeded runs of one (simulator, attack) pair with
-//                       both strategies evaluated on the same traces; yields
-//                       the #FP / #DM counts of Table 2.
-//   * fixed_window_sweep — the Fig. 7 profiling sweep: for every candidate
-//                       window size, count FP experiments (FP rate > 10 %)
-//                       and FN experiments (attack never detected) over N
-//                       runs.  The trace does not depend on the detector, so
-//                       each run is simulated once and every window size is
-//                       evaluated on the same residual stream via prefix
-//                       sums.
+// run_batch is the one runner for seeded runs of the detector: one deadline
+// backend per batch, DetectionSystems with the serving settings, and a
+// per-step visitor that scores each record as it is produced (no Trace).
+// run_cell (Table 2's #FP / #DM cells), tune::measure_far, the tuner's
+// residual-scale pass and tune::roc_sweep run on it.  fixed_window_sweep
+// (Fig. 7) reads only the residual stream, so it steps the bare simulator
+// once per run and scores every window size on it via prefix sums.
 //
-// Both runners execute their seeded runs on core::parallel_for: run r uses
-// the derived seed splitmix64(base_seed + r) regardless of which worker
-// computes it, per-run outcomes land in slot r, and the reduction walks the
-// slots in run-index order.  Counts, floating-point delay sums, and CSV
-// output are therefore bit-identical for every thread count; threads == 1
-// degenerates to the plain serial loop.
+// Run r's seed is a pure function of the base seed and r, per-run results
+// land in slot r, and reductions walk the slots in run-index order, so every
+// output is bit-identical for every thread count; threads == 1 is the plain
+// serial loop.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/metrics.hpp"
 #include "core/status.hpp"
 
+namespace awd::obs {
+class Timer;
+}
+
 namespace awd::core {
+
+class DetectionSystem;
+
+/// One seeded run of a batch: the attack scenario and the simulation seed.
+struct BatchRun {
+  AttackKind attack = AttackKind::kNone;
+  std::uint64_t seed = 0;
+};
+
+/// The deadline backend every run of a batch over `scase` shares (what a
+/// DetectionSystem with default options builds; it does not depend on tau).
+[[nodiscard]] Result<std::shared_ptr<const reach::Backend>> make_batch_backend(
+    const SimulatorCase& scase);
+
+/// Run plan(0..runs-1) on core::parallel_for, each for up to scase.steps
+/// steps of a DetectionSystem sharing `backend`, with lean records and no
+/// per-step stage marks.  visit(r, rec, system) follows every step of run r;
+/// returning false ends that run.  Callers keep run r's result in slot r.
+/// With `run_timer`, each run is one span of it.
+void run_batch(const SimulatorCase& scase, const std::shared_ptr<const reach::Backend>& backend,
+               std::size_t runs, std::size_t threads,
+               const std::function<BatchRun(std::size_t run)>& plan,
+               const std::function<bool(std::size_t run, const sim::StepRecord& rec,
+                                        const DetectionSystem& system)>& visit,
+               obs::Timer* run_timer = nullptr);
 
 /// Aggregated result of one Table 2 cell (one simulator × one attack).
 struct CellResult {
@@ -54,22 +79,20 @@ struct CellRunOutcome {
   RunMetrics fixed;
 };
 
-/// Execute one seeded run of a Table 2 cell.  `options` is used as given
-/// (no post_attack_guard defaulting); pure apart from the simulation itself,
-/// safe to call concurrently for distinct seeds.
+/// One seeded run of a Table 2 cell the long way — its own backend, a whole
+/// Trace, compute_metrics — as the oracle run_cell is tested against.
+/// `options` is used as given (no post_attack_guard defaulting).
 [[nodiscard]] CellRunOutcome run_cell_once(const SimulatorCase& scase, AttackKind attack,
                                            std::uint64_t seed, const MetricsOptions& options);
 
 /// Pure reduction of per-run outcomes into a CellResult, walking `outcomes`
 /// in run-index order (so delay sums accumulate exactly like the serial
-/// loop).  Shared by the serial and parallel paths of run_cell.
+/// loop, at any thread count).
 [[nodiscard]] CellResult reduce_cell(const SimulatorCase& scase, AttackKind attack,
                                      const std::vector<CellRunOutcome>& outcomes);
 
-/// Parameters of one Table 2 cell.  Designated initializers replace the
-/// old six-argument positional call:
-///   run_cell({.scase = scase, .attack = AttackKind::kBias, .runs = 100,
-///             .base_seed = 2022});
+/// Parameters of one Table 2 cell, e.g.
+///   run_cell({.scase = scase, .attack = AttackKind::kBias, .base_seed = 2022});
 struct ExperimentSpec {
   SimulatorCase scase;
   AttackKind attack = AttackKind::kNone;

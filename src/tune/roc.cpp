@@ -3,37 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/detection_system.hpp"
-#include "core/parallel.hpp"
-#include "reach/deadline.hpp"
+#include "core/experiment.hpp"
 #include "sim/noise.hpp"
 
 namespace awd::tune {
-
-namespace {
-
-/// A run counts as detected when the adaptive detector alarms anywhere in
-/// [onset, attack end + w_m): a window-based detector legitimately alarms
-/// up to one window after the corruption stops.
-bool attacked_run_detected(const core::SimulatorCase& scase, core::AttackKind attack,
-                           std::uint64_t seed,
-                           std::shared_ptr<const reach::Backend> estimator) {
-  core::DetectionSystemOptions sys;
-  sys.lean_records = true;
-  sys.per_step_obs = false;
-  sys.shared_deadline_estimator = std::move(estimator);
-  core::DetectionSystem system(scase, attack, seed, std::move(sys));
-  const std::size_t hi =
-      std::min(scase.steps, scase.attack_start + scase.attack_duration + scase.max_window);
-  sim::StepRecord rec;
-  for (std::size_t t = 0; t < scase.steps; ++t) {
-    system.step_into(rec);
-    if (t >= scase.attack_start && t < hi && rec.adaptive_alarm) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 core::Result<RocCurve> roc_sweep(const core::SimulatorCase& scase,
                                  const RocOptions& opts) {
@@ -68,14 +41,12 @@ core::Result<RocCurve> roc_sweep(const core::SimulatorCase& scase,
     }
   }
 
-  // One deadline backend serves every scale: its tables do not depend on
-  // tau.  The case's configured backend kind (box/table) applies
-  // here too — the ROC is swept with exactly the backend that would serve.
-  core::Result<std::unique_ptr<reach::Backend>> built =
-      reach::make_backend(core::make_backend_spec(scase, 0.0, 0));
-  if (!built.is_ok()) return built.status();
-  const std::shared_ptr<const reach::Backend> estimator(std::move(built).value());
+  // One backend serves every scale; it is the case's own kind (box/table).
+  core::Result<std::shared_ptr<const reach::Backend>> backend = core::make_batch_backend(scase);
+  if (!backend.is_ok()) return backend.status();
 
+  const std::size_t detect_end =
+      std::min(scase.steps, scase.attack_start + scase.attack_duration + scase.max_window);
   RocCurve curve;
   curve.points.reserve(scales.size());
   core::SimulatorCase probe = scase;
@@ -93,18 +64,27 @@ core::Result<RocCurve> roc_sweep(const core::SimulatorCase& scase,
     fopts.base_seed = opts.base_seed + si;
     fopts.warmup = opts.warmup;
     fopts.threads = opts.threads;
-    fopts.shared_estimator = estimator;
-    point.far = measure_far(probe, fopts).far;
+    point.far = detail::measure_far(probe, fopts, backend.value()).far;
 
-    // TPR: attacks x trials flattened into one deterministic parallel loop.
+    // TPR: attacks x trials flattened into one deterministic batch.  A run
+    // counts as detected when the adaptive detector alarms anywhere in
+    // [onset, attack end + w_m) — a window-based detector legitimately
+    // alarms up to one window after the corruption stops — and stops there.
     const std::size_t runs = opts.attacks.size() * opts.tpr_trials;
     std::vector<std::uint8_t> hit(runs, 0);
-    core::parallel_for(runs, opts.threads, [&](std::size_t i) {
-      const core::AttackKind kind = opts.attacks[i / opts.tpr_trials];
-      const std::uint64_t seed =
-          sim::splitmix64(opts.base_seed + 0xa77accULL + si * 1009 + i);
-      hit[i] = attacked_run_detected(probe, kind, seed, estimator) ? 1 : 0;
-    });
+    core::run_batch(
+        probe, backend.value(), runs, opts.threads,
+        [&](std::size_t i) {
+          return core::BatchRun{opts.attacks[i / opts.tpr_trials],
+                                sim::splitmix64(opts.base_seed + 0xa77accULL + si * 1009 + i)};
+        },
+        [&](std::size_t i, const sim::StepRecord& rec, const core::DetectionSystem&) {
+          if (rec.t >= scase.attack_start && rec.t < detect_end && rec.adaptive_alarm) {
+            hit[i] = 1;
+            return false;
+          }
+          return true;
+        });
     point.attacked_runs = runs;
     for (std::uint8_t h : hit) point.detected += h;
     point.tpr = static_cast<double>(point.detected) / static_cast<double>(runs);

@@ -6,8 +6,7 @@
 #include <vector>
 
 #include "core/detection_system.hpp"
-#include "core/parallel.hpp"
-#include "reach/deadline.hpp"
+#include "core/experiment.hpp"
 #include "sim/noise.hpp"
 
 namespace awd::tune {
@@ -68,19 +67,6 @@ std::uint64_t far_trial_seed(std::uint64_t base, std::size_t trial) {
   return sim::splitmix64(base + 0x7a2e5eedULL + static_cast<std::uint64_t>(trial));
 }
 
-/// The deadline backend a DetectionSystem with default options would build
-/// for this case; its tables do not depend on tau, so one instance is
-/// shared across every FAR measurement of a tuning run.
-std::shared_ptr<const reach::Backend> build_estimator(const core::SimulatorCase& scase) {
-  core::Result<std::unique_ptr<reach::Backend>> built =
-      reach::make_backend(core::make_backend_spec(scase, 0.0, 0));
-  if (!built.is_ok()) {
-    throw std::invalid_argument(std::string("tune: ") +
-                                std::string(built.status().message()));
-  }
-  return std::shared_ptr<const reach::Backend>(std::move(built).value());
-}
-
 }  // namespace
 
 double chi2_tail(double dof, double x) {
@@ -113,42 +99,39 @@ double chi2_quantile(double dof, double alpha) {
 
 FarSample measure_far(const core::SimulatorCase& scase, const TuneOptions& opts) {
   scase.validate();
+  core::Result<std::shared_ptr<const reach::Backend>> backend = core::make_batch_backend(scase);
+  if (!backend.is_ok()) {
+    throw std::invalid_argument("measure_far: " + std::string(backend.status().message()));
+  }
+  return detail::measure_far(scase, opts, backend.value());
+}
+
+FarSample detail::measure_far(const core::SimulatorCase& scase, const TuneOptions& opts,
+                              const std::shared_ptr<const reach::Backend>& backend) {
   const std::size_t trials = opts.trials != 0 ? opts.trials : scase.tune_trials;
   if (trials == 0) throw std::invalid_argument("measure_far: zero trials");
   const std::size_t warmup = opts.warmup != 0 ? opts.warmup : scase.max_window + 1;
 
-  core::DetectionSystemOptions sys;
-  sys.lean_records = true;
-  sys.per_step_obs = false;
-  sys.shared_deadline_estimator =
-      opts.shared_estimator ? opts.shared_estimator : build_estimator(scase);
-
-  struct Counts {
-    std::size_t clean = 0;
-    std::size_t adaptive = 0;
-    std::size_t fixed = 0;
-  };
-  std::vector<Counts> slots(trials);
-  core::parallel_for(trials, opts.threads, [&](std::size_t i) {
-    core::DetectionSystemOptions run_opts = sys;  // shared_ptr copy per trial
-    core::DetectionSystem system(scase, core::AttackKind::kNone,
-                                 far_trial_seed(opts.base_seed, i), std::move(run_opts));
-    sim::StepRecord rec;
-    Counts& c = slots[i];
-    for (std::size_t t = 0; t < scase.steps; ++t) {
-      system.step_into(rec);
-      if (t < warmup) continue;
-      ++c.clean;
-      if (rec.adaptive_alarm) ++c.adaptive;
-      if (rec.fixed_alarm) ++c.fixed;
-    }
-  });
+  std::vector<FarSample> slots(trials);  // per-trial counts
+  core::run_batch(
+      scase, backend, trials, opts.threads,
+      [&](std::size_t i) {
+        return core::BatchRun{core::AttackKind::kNone, far_trial_seed(opts.base_seed, i)};
+      },
+      [&](std::size_t i, const sim::StepRecord& rec, const core::DetectionSystem&) {
+        if (rec.t < warmup) return true;
+        FarSample& c = slots[i];
+        ++c.clean_steps;
+        if (rec.adaptive_alarm) ++c.alarms;
+        if (rec.fixed_alarm) ++c.alarms_fixed;
+        return true;
+      });
 
   FarSample out;
-  for (const Counts& c : slots) {  // ordered reduction (integers: exact anyway)
-    out.clean_steps += c.clean;
-    out.alarms += c.adaptive;
-    out.alarms_fixed += c.fixed;
+  for (const FarSample& c : slots) {  // ordered reduction (integers: exact anyway)
+    out.clean_steps += c.clean_steps;
+    out.alarms += c.alarms;
+    out.alarms_fixed += c.alarms_fixed;
   }
   if (out.clean_steps == 0) {
     throw std::invalid_argument("measure_far: warmup leaves no clean steps to count");
@@ -193,30 +176,28 @@ core::Result<TuneReport> tune_detector(const core::SimulatorCase& scase,
   // Residuals behave as |N(0, σ_d)| to first order, so E[r²] = σ_d².  The
   // pass reuses the FAR machinery's seeds at distinct salted indices so the
   // later measurements draw fresh noise.
-  auto shared_estimator =
-      opts.shared_estimator ? opts.shared_estimator : build_estimator(scase);
+  core::Result<std::shared_ptr<const reach::Backend>> built = core::make_batch_backend(scase);
+  if (!built.is_ok()) return built.status();
+  const std::shared_ptr<const reach::Backend>& backend = built.value();
   {
+    // One thread, so the floating-point sum runs in (run, step) order.
     const std::size_t sigma_runs = std::min<std::size_t>(4, trials);
     Vec sum_sq(n);
     std::size_t samples = 0;
-    for (std::size_t r = 0; r < sigma_runs; ++r) {
-      core::DetectionSystemOptions sys;
-      sys.lean_records = true;
-      sys.per_step_obs = false;
-      sys.shared_deadline_estimator = shared_estimator;
-      core::DetectionSystem system(
-          scase, core::AttackKind::kNone,
-          far_trial_seed(opts.base_seed ^ 0x5163a5ULL, r), std::move(sys));
-      sim::StepRecord rec;
-      for (std::size_t t = 0; t < scase.steps; ++t) {
-        system.step_into(rec);
-        if (t < warmup) continue;
-        ++samples;
-        const detect::DataLogger& log = system.logger();
-        const Vec& z = log.entry(log.latest()).residual;
-        for (std::size_t d = 0; d < n; ++d) sum_sq[d] += z[d] * z[d];
-      }
-    }
+    core::run_batch(
+        scase, backend, sigma_runs, /*threads=*/1,
+        [&](std::size_t r) {
+          return core::BatchRun{core::AttackKind::kNone,
+                                far_trial_seed(opts.base_seed ^ 0x5163a5ULL, r)};
+        },
+        [&](std::size_t, const sim::StepRecord& rec, const core::DetectionSystem& system) {
+          if (rec.t < warmup) return true;
+          ++samples;
+          const detect::DataLogger& log = system.logger();
+          const Vec& z = log.entry(log.latest()).residual;
+          for (std::size_t d = 0; d < n; ++d) sum_sq[d] += z[d] * z[d];
+          return true;
+        });
     if (samples == 0) {
       return core::Status{core::StatusCode::kInvalidInput,
                           "tune_detector: warmup leaves no clean steps to calibrate on"};
@@ -270,15 +251,11 @@ core::Result<TuneReport> tune_detector(const core::SimulatorCase& scase,
   // residual stream is identical at every scale and the measured FAR is
   // exactly non-increasing in s.  Invariant: far(lo) >= target >= far(hi).
   core::SimulatorCase probe = scase;
-  TuneOptions mopts = opts;
-  mopts.trials = trials;
-  mopts.warmup = warmup;
-  mopts.shared_estimator = shared_estimator;
   std::size_t spent = 0;
   const auto far_at = [&](double s) {
     for (std::size_t d = 0; d < n; ++d) probe.tau[d] = report.tau0[d] * s;
     ++spent;
-    return measure_far(probe, mopts);
+    return detail::measure_far(probe, opts, backend);
   };
   const double abs_tol = opts.rel_tolerance * target;
   const auto within = [&](const FarSample& f) {

@@ -10,7 +10,7 @@
 //      per-dimension threshold τ0 (and a windowed-chi2 / CUSUM
 //      parameterization) at the target rate;
 //   2. refinement — the adaptive detector's empirical FAR is measured over
-//      seeded attack-free Monte-Carlo runs (core::parallel_for, bit-identical
+//      seeded attack-free Monte-Carlo runs (core::run_batch, bit-identical
 //      at any thread count).  Detection is passive, so FAR is exactly
 //      monotone non-increasing in a scalar multiplier on τ0; a monotone
 //      bisection on that multiplier drives the measured FAR to the target.
@@ -55,9 +55,6 @@ struct TuneOptions {
   std::size_t max_iterations = 32;  ///< FAR measurements spent on bracketing + bisection
   std::size_t warmup = 0;         ///< FP-exempt startup steps (0 = max_window + 1)
   std::size_t threads = 1;        ///< parallel_for width (bit-identical at any value)
-  /// Reuse a prebuilt deadline backend (its tables do not depend on tau,
-  /// so one instance serves every bisection iterate).  Null = build one.
-  std::shared_ptr<const reach::Backend> shared_estimator;
 };
 
 /// One empirical FAR measurement over attack-free Monte-Carlo runs.
@@ -75,6 +72,13 @@ struct FarSample {
 /// an invalid case.
 [[nodiscard]] FarSample measure_far(const core::SimulatorCase& scase,
                                     const TuneOptions& opts = {});
+
+namespace detail {
+/// measure_far over `backend` (core::make_batch_backend), which tune_detector
+/// and roc_sweep build once and share across every threshold they measure.
+[[nodiscard]] FarSample measure_far(const core::SimulatorCase& scase, const TuneOptions& opts,
+                                    const std::shared_ptr<const reach::Backend>& backend);
+}  // namespace detail
 
 /// Everything the tuner decided, plus the evidence it decided on.
 struct TuneReport {

@@ -127,6 +127,10 @@ TEST(Cli, ReachTableChecksAgainstItsOwnCaseOnly) {
   EXPECT_EQ(awd_exit({"reach", "info", table}), 0);
   EXPECT_EQ(awd_exit({"reach", "check", "dc_motor", table}), 0);
   EXPECT_EQ(awd_exit({"reach", "check", "series_rlc", table}), 1);
+  // Two cells per dimension: the cell inflation leaves every deadline 0.
+  const std::string coarse = dir.file("coarse.tbl");
+  EXPECT_EQ(awd_exit({"reach", "build", "dc_motor", coarse, "--cells", "2"}), 1);
+  EXPECT_FALSE(fs::exists(coarse)) << "an all-zero table was written";
 }
 
 TEST(Cli, ForensicsReplaysADump) {

@@ -14,8 +14,8 @@
 // the file was precomputed for exactly that configuration — the operator
 // form of the load-time rejection TableBackend enforces.
 //
-// Exit codes: 0 success, 1 invalid/mismatched table, 2 usage, unknown case
-// or I/O error.
+// Exit codes: 0 success, 1 invalid/mismatched table or a built table whose
+// every deadline is 0, 2 usage, unknown case or I/O error.
 #include <algorithm>
 
 #include "cli.hpp"
@@ -85,6 +85,14 @@ int run_reach(const Args& args) {
   if (command == "build") {
     const Result<DeadlineTable> table = build_table(spec);
     if (!table.is_ok()) fail("build", table.status());
+    // Each cell's walk is inflated by the cell's half-width; on a coarse
+    // grid that swallows the whole horizon and every deadline comes out 0,
+    // a table that would hold every stream at window 0.
+    const std::vector<std::uint16_t>& deadlines = table.value().deadlines;
+    if (std::all_of(deadlines.begin(), deadlines.end(), [](std::uint16_t d) { return d == 0; })) {
+      throw Exit{kFailed, "every deadline is 0: the grid is too coarse for the cell "
+                          "inflation (raise --cells)"};
+    }
     if (Status s = core::ckpt::write_file(path, encode_table(table.value())); !s.is_ok()) {
       throw Exit{kUsage, path + ": " + describe(s)};
     }
