@@ -320,6 +320,52 @@ TEST(ForensicsCodec, RejectsCorruptTruncatedAndInconsistentImages) {
   EXPECT_FALSE(serve::decode_dump(serve::encode_dump(bad_trigger)).is_ok());
 }
 
+// The .awdfr bytes of one fixed dump per Table-1 plant, pinned as literals:
+// the round trips above compare an encoder with the decoder of the same
+// build, so only a pin catches a change that moves both together.
+TEST(ForensicsCodec, EncodeDumpBytesPinned) {
+  struct Pin {
+    const char* plant;
+    std::size_t bytes;
+    std::uint64_t fnv;
+  };
+  const Pin pins[] = {
+      {"aircraft_pitch", 10765, 0x81615a5640447ec2ULL},
+      {"vehicle_turning", 10515, 0x6286cb449d41521aULL},
+      {"series_rlc", 10629, 0x9a77dd3c739897ddULL},
+      {"dc_motor", 10749, 0xcc7e905ac4182fb0ULL},
+      {"quadrotor", 13014, 0xb7d857d438f8222dULL},
+  };
+  for (const Pin& pin : pins) {
+    ForensicsDump dump;
+    dump.spec.scase = simulator_case(pin.plant);
+    dump.spec.seed = 3;
+    dump.spec.steps = dump.spec.scase.steps;
+    dump.reason = DumpReason::kAlarm;
+    dump.stream = 9;
+    dump.shard = 1;
+    dump.trigger_step = 299;
+    dump.steps_done = 300;
+    dump.ts_ns = 42;
+    for (std::uint64_t t = 44; t < 300; ++t) {
+      FlightFrame f;
+      f.t = t;
+      f.residual_norm = 0.1 * static_cast<double>(t);
+      f.detect_stat = 1.0 / static_cast<double>(t + 1);
+      f.deadline = static_cast<std::uint32_t>(t % 7);
+      f.window = static_cast<std::uint32_t>(t % 11);
+      f.flags = static_cast<std::uint16_t>(t & 0xFF);
+      f.fault = 0;
+      f.health = static_cast<std::uint8_t>(t % 3);
+      dump.frames.push_back(f);
+    }
+    const std::vector<std::uint8_t> bytes = serve::encode_dump(dump);
+    EXPECT_EQ(bytes.size(), pin.bytes) << pin.plant;
+    EXPECT_EQ(core::ckpt::fnv1a64(bytes.data(), bytes.size()), pin.fnv) << pin.plant;
+    EXPECT_TRUE(serve::decode_dump(bytes).is_ok()) << pin.plant;
+  }
+}
+
 // ------------------------------------------------------------------- replay
 
 TEST(ForensicsReplay, ManualDumpReplaysBitIdentically) {
@@ -407,6 +453,26 @@ TEST(EngineForensics, AutoDumpsAreThreadCountInvariant) {
   }
   EXPECT_EQ(serial_image, pooled_image)
       << "forensic dump content depends on the thread count";
+}
+
+// The engine's own auto-dump of a fixed 1-thread run, pinned as a literal
+// once its wall-clock timestamp is zeroed.
+TEST(EngineForensics, FirstAlarmDumpBytesPinned) {
+  StreamEngine engine({.threads = 1, .flight_recorder_depth = 256});
+  core::Result<StreamId> id = engine.submit(alarming_spec());
+  ASSERT_TRUE(id.is_ok());
+  for (int k = 0; k < 300 && engine.introspect().dumps_written == 0; ++k) engine.step_all();
+  core::Result<std::vector<std::uint8_t>> image = engine.last_dump(id.value());
+  ASSERT_TRUE(image.is_ok()) << image.status().message();
+  core::Result<ForensicsDump> dump = serve::decode_dump(image.value());
+  ASSERT_TRUE(dump.is_ok()) << dump.status().message();
+  EXPECT_EQ(dump.value().trigger_step, 45u);
+  EXPECT_EQ(dump.value().frames.size(), 46u);
+  ForensicsDump zeroed = dump.value();
+  zeroed.ts_ns = 0;
+  const std::vector<std::uint8_t> bytes = serve::encode_dump(zeroed);
+  EXPECT_EQ(bytes.size(), 2785u);
+  EXPECT_EQ(core::ckpt::fnv1a64(bytes.data(), bytes.size()), 0xa0a074f7812ff2c9ULL);
 }
 
 TEST(EngineForensics, ManualDumpErrorsAreTyped) {
