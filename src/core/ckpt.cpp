@@ -1,5 +1,6 @@
 #include "core/ckpt.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdio>
@@ -10,20 +11,35 @@ namespace awd::core::ckpt {
 
 namespace {
 
-/// Reflected CRC-32 table for polynomial 0xEDB88320 (IEEE 802.3), built once.
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables for the reflected polynomial 0xEDB88320 (IEEE 802.3):
+/// row 0 is the classic bytewise table, row k advances a byte through k
+/// further zero bytes, so one round folds eight input bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Little-endian 32-bit load from byte loads (any alignment).
+std::uint32_t load_le32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 // Sanity limit on the count prefix of any length-prefixed field.  Snapshots
 // of this library hold vectors of dimension <= ~12 and ring buffers of a few
@@ -35,10 +51,16 @@ constexpr std::uint64_t kMaxCount = 1ull << 28;
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) noexcept {
+  const CrcTables& t = kCrcTables;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = kCrcTable[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = c ^ load_le32(data);
+    const std::uint32_t hi = load_le32(data + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; size > 0; ++data, --size) c = t[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -54,30 +76,33 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size,
 
 // --- Writer ----------------------------------------------------------------
 
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
 void Writer::str(std::string_view s) {
   u64(s.size());
   bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
 }
 
+namespace {
+
+/// Doubles as consecutive raw bit patterns, appended as one block.
+void f64_block(Writer& w, const std::vector<double>& xs) {
+  std::uint8_t* p = w.extend(8 * xs.size());
+  for (const double x : xs) {
+    store_le64(p, std::bit_cast<std::uint64_t>(x));
+    p += 8;
+  }
+}
+
+}  // namespace
+
 void Writer::vec(const linalg::Vec& v) {
   u64(v.size());
-  for (double x : v.raw()) f64(x);
+  f64_block(*this, v.raw());
 }
 
 void Writer::mat(const linalg::Matrix& m) {
   u64(m.rows());
   u64(m.cols());
-  for (double x : m.raw()) f64(x);
+  f64_block(*this, m.raw());
 }
 
 void Writer::opt_u64(const std::optional<std::size_t>& v) {
@@ -238,28 +263,44 @@ bool Reader::block(Reader& out) {
 
 // --- SnapshotBuilder -------------------------------------------------------
 
-Writer& SnapshotBuilder::section(std::uint32_t id) {
-  sections_.emplace_back(id, Writer{});
-  return sections_.back().second;
+SnapshotBuilder::SnapshotBuilder(std::size_t capacity) {
+  out_.buf_.reserve(std::max(capacity, kHeaderSize));
+  // Section count, fingerprint and CRC are filled in by finish().
+  out_.bytes(kMagic, sizeof(kMagic));
+  out_.u32(kFormatVersion);
+  out_.u32(0);  // section count
+  out_.u64(0);  // fingerprint
+  out_.u32(0);  // reserved
+  out_.u32(0);  // header CRC over bytes [0, 28)
 }
 
-std::vector<std::uint8_t> SnapshotBuilder::finish(std::uint64_t fingerprint) const {
-  Writer out;
-  out.bytes(kMagic, sizeof(kMagic));
-  out.u32(kFormatVersion);
-  out.u32(static_cast<std::uint32_t>(sections_.size()));
-  out.u64(fingerprint);
-  out.u32(0);  // reserved
-  out.u32(crc32(out.data().data(), out.size()));  // header CRC over bytes [0, 28)
+void SnapshotBuilder::close_section_() {
+  if (open_ == 0) return;
+  std::uint8_t* header = out_.buf_.data() + open_;
+  const std::size_t payload = out_.size() - open_ - kSectionHeaderSize;
+  store_le64(header + 8, payload);
+  store_le32(header + 16, crc32(header + kSectionHeaderSize, payload));
+  open_ = 0;
+}
 
-  for (const auto& [id, writer] : sections_) {
-    out.u32(id);
-    out.u32(0);  // reserved
-    out.u64(writer.size());
-    out.u32(crc32(writer.data().data(), writer.size()));
-    out.bytes(writer.data().data(), writer.size());
-  }
-  return out.take();
+Writer& SnapshotBuilder::section(std::uint32_t id) {
+  close_section_();
+  open_ = out_.size();
+  ++count_;
+  out_.u32(id);
+  out_.u32(0);  // reserved
+  out_.u64(0);  // payload length
+  out_.u32(0);  // payload CRC
+  return out_;
+}
+
+std::vector<std::uint8_t> SnapshotBuilder::finish(std::uint64_t fingerprint) {
+  close_section_();
+  std::uint8_t* header = out_.buf_.data();
+  store_le32(header + 12, count_);
+  store_le64(header + 16, fingerprint);
+  store_le32(header + kHeaderSize - 4, crc32(header, kHeaderSize - 4));
+  return out_.take();
 }
 
 // --- SnapshotView ----------------------------------------------------------

@@ -24,6 +24,7 @@
 // it is the byte layer only.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -53,7 +54,8 @@ inline constexpr std::size_t kHeaderSize = 32;
 /// Per-section header size (id, reserved, payload length, payload CRC32).
 inline constexpr std::size_t kSectionHeaderSize = 20;
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte range.
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte range.  Slice-by-8:
+/// eight bytes per table round, the same value as the bytewise algorithm.
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size) noexcept;
 
 /// FNV-1a 64-bit hash — the config-fingerprint primitive.  Chained: pass the
@@ -62,15 +64,32 @@ inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 [[nodiscard]] std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size,
                                     std::uint64_t seed = kFnvOffset) noexcept;
 
-/// Append-only little-endian encoder.
+/// Store `v` little-endian at `p` (byte stores; no alignment needed).
+inline void store_le32(std::uint8_t* p, std::uint32_t v) noexcept {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+inline void store_le64(std::uint8_t* p, std::uint64_t v) noexcept {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// Append-only little-endian encoder.  Multi-byte values go in as one
+/// block each; extend() hands out a block for callers that lay out several
+/// fields at once.
 class Writer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void b(bool v) { u8(v ? 1 : 0); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u32(std::uint32_t v) { store_le32(extend(4), v); }
+  void u64(std::uint64_t v) { store_le64(extend(8), v); }
   /// Double as its raw IEEE-754 bit pattern (±Inf and NaN round-trip).
-  void f64(double v);
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  /// Append `n` bytes and return where they start; the caller fills all of
+  /// them before the next append (which may move the buffer).
+  [[nodiscard]] std::uint8_t* extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
   void str(std::string_view s);
   void vec(const linalg::Vec& v);
   void mat(const linalg::Matrix& m);
@@ -86,6 +105,7 @@ class Writer {
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
+  friend class SnapshotBuilder;  // reserves the image, patches lengths and CRCs
   std::vector<std::uint8_t> buf_;
 };
 
@@ -143,17 +163,29 @@ struct SectionView {
   [[nodiscard]] Reader reader() const { return Reader(data, size); }
 };
 
-/// Assembles a snapshot: header + CRC-framed sections.
+/// Assembles a snapshot in one buffer: the header, then each section's
+/// header and payload in the order written.  finish() fills in the section
+/// count, the fingerprint, the lengths and the CRCs in place.
 class SnapshotBuilder {
  public:
-  /// Start a new section; write its payload through the returned Writer.
+  /// `capacity` reserves the image up front; pass the exact size when it is
+  /// known (kHeaderSize + the sum of kSectionHeaderSize + payload bytes).
+  explicit SnapshotBuilder(std::size_t capacity = 0);
+
+  /// End the open section (if any) and start a new one; write its payload
+  /// through the returned Writer before the next section() or finish().
   Writer& section(std::uint32_t id);
 
-  /// Produce the final byte image with `fingerprint` in the header.
-  [[nodiscard]] std::vector<std::uint8_t> finish(std::uint64_t fingerprint) const;
+  /// Produce the final byte image with `fingerprint` in the header.  The
+  /// builder is spent afterwards.
+  [[nodiscard]] std::vector<std::uint8_t> finish(std::uint64_t fingerprint);
 
  private:
-  std::vector<std::pair<std::uint32_t, Writer>> sections_;
+  void close_section_();
+
+  Writer out_;
+  std::size_t open_ = 0;  ///< offset of the open section's header; 0 = none
+  std::uint32_t count_ = 0;
 };
 
 /// Validated view over a snapshot byte image.  parse() checks magic, format

@@ -1,5 +1,6 @@
 #include "core/ckpt_io.hpp"
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -320,15 +321,20 @@ bool read_system_options(Reader& r, DetectionSystemOptions& o) {
   return true;
 }
 
-void write_flight_frame(Writer& w, const obs::FlightFrame& f) {
-  w.u64(f.t);
-  w.f64(f.residual_norm);
-  w.f64(f.detect_stat);
-  w.u32(f.deadline);
-  w.u32(f.window);
-  w.u32(f.flags);
-  w.u8(f.fault);
-  w.u8(f.health);
+void write_flight_frames(Writer& w, const std::vector<obs::FlightFrame>& frames) {
+  // Field by field: FlightFrame has padding, and flags widens to u32.
+  std::uint8_t* p = w.extend(frames.size() * kFlightFrameBytes);
+  for (const obs::FlightFrame& f : frames) {
+    store_le64(p, f.t);
+    store_le64(p + 8, std::bit_cast<std::uint64_t>(f.residual_norm));
+    store_le64(p + 16, std::bit_cast<std::uint64_t>(f.detect_stat));
+    store_le32(p + 24, f.deadline);
+    store_le32(p + 28, f.window);
+    store_le32(p + 32, f.flags);
+    p[36] = f.fault;
+    p[37] = f.health;
+    p += kFlightFrameBytes;
+  }
 }
 
 bool read_flight_frame(Reader& r, obs::FlightFrame& f) {

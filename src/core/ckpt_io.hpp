@@ -64,11 +64,15 @@ void write_case(Writer& w, const SimulatorCase& c);
 void write_system_options(Writer& w, const DetectionSystemOptions& o);
 [[nodiscard]] bool read_system_options(Reader& r, DetectionSystemOptions& o);
 
-/// One flight-recorder frame (DESIGN.md §15) — the payload unit of the
-/// .awdfr forensic dump's frame section.  The reader rejects out-of-range
-/// health/fault enum values and unknown flag bits, so a tampered dump can
-/// never decode into frames the replay verifier would misinterpret.
-void write_flight_frame(Writer& w, const obs::FlightFrame& f);
+/// Flight-recorder frames (DESIGN.md §15) — the payload unit of the .awdfr
+/// forensic dump's frame section, kFlightFrameBytes each: t, residual_norm,
+/// detect_stat, deadline, window, flags (as u32), fault, health.  The writer
+/// appends the frames as one block; the reader takes one frame and rejects
+/// out-of-range health/fault enum values and unknown flag bits, so a
+/// tampered dump can never decode into frames the replay verifier would
+/// misinterpret.
+inline constexpr std::size_t kFlightFrameBytes = 38;
+void write_flight_frames(Writer& w, const std::vector<obs::FlightFrame>& frames);
 [[nodiscard]] bool read_flight_frame(Reader& r, obs::FlightFrame& f);
 
 }  // namespace awd::core::ckpt

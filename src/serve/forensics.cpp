@@ -38,7 +38,14 @@ const char* dump_reason_name(DumpReason reason) noexcept {
 }
 
 std::vector<std::uint8_t> encode_dump(const ForensicsDump& dump) {
-  ckpt::SnapshotBuilder builder;
+  ckpt::Writer spec_w;
+  write_stream_spec(spec_w, dump.spec);
+
+  // Meta: format version, reason, then five u64 fields.
+  constexpr std::size_t kMetaBytes = 4 + 1 + 5 * 8;
+  const std::size_t frames_bytes = 8 + dump.frames.size() * ckpt::kFlightFrameBytes;
+  ckpt::SnapshotBuilder builder(ckpt::kHeaderSize + 3 * ckpt::kSectionHeaderSize +
+                                kMetaBytes + spec_w.size() + frames_bytes);
 
   ckpt::Writer& meta = builder.section(kForensicsSectionMeta);
   meta.u32(kForensicsFormatVersion);
@@ -49,14 +56,11 @@ std::vector<std::uint8_t> encode_dump(const ForensicsDump& dump) {
   meta.u64(dump.steps_done);
   meta.u64(dump.ts_ns);
 
-  ckpt::Writer spec_w;
-  write_stream_spec(spec_w, dump.spec);
-  ckpt::Writer& spec = builder.section(kForensicsSectionSpec);
-  spec.bytes(spec_w.data().data(), spec_w.size());
+  builder.section(kForensicsSectionSpec).bytes(spec_w.data().data(), spec_w.size());
 
   ckpt::Writer& frames = builder.section(kForensicsSectionFrames);
   frames.u64(dump.frames.size());
-  for (const obs::FlightFrame& f : dump.frames) ckpt::write_flight_frame(frames, f);
+  ckpt::write_flight_frames(frames, dump.frames);
 
   return builder.finish(ckpt::fnv1a64(spec_w.data().data(), spec_w.size()));
 }

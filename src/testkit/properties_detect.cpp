@@ -41,6 +41,15 @@ bool maybe_corrupt(Vec& v, PropRng& rng, double p) {
   return true;
 }
 
+/// The Thm-1 draws of a planted-escape property, for --describe.
+void note_shrink_geometry(std::size_t s, std::size_t d, std::size_t w_big,
+                          std::size_t w_small, std::size_t T, std::size_t w_m) {
+  note_draws("spike at s=" + std::to_string(s) + " (dim " + std::to_string(d) +
+             "), shrink w_big=" + std::to_string(w_big) + " -> w_small=" +
+             std::to_string(w_small) + " at T=" + std::to_string(T) + " (w_m=" +
+             std::to_string(w_m) + ")");
+}
+
 }  // namespace
 
 PropertyResult no_escape_shrink(std::uint64_t seed, const GenLimits& limits) {
@@ -72,6 +81,7 @@ PropertyResult no_escape_shrink(std::uint64_t seed, const GenLimits& limits) {
       s + (rng.chance(0.4) ? w_big + 1 : rng.range(w_small + 1, w_big + 1));
   const std::size_t d = rng.below(n);
   const double m = 1.45 * c.tau[d] * static_cast<double>(w_small + 1);
+  note_shrink_geometry(s, d, w_big, w_small, T, w_m);
 
   DataLogger logger(c.model, w_m);
   AdaptiveDetector det(c.tau, w_m);
@@ -136,6 +146,7 @@ PropertyResult sweep_tie_not_an_alarm(std::uint64_t seed, const GenLimits& limit
       s + (rng.chance(0.4) ? w_big + 1 : rng.range(w_small + 1, w_big + 1));
   const std::size_t d = rng.below(n);
   const double m = 1.45 * c.tau[d] * static_cast<double>(w_small + 1);
+  note_shrink_geometry(s, d, w_big, w_small, T, w_m);
 
   DataLogger logger(c.model, w_m);
   const Vec u(c.model.input_dim());

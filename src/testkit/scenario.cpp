@@ -59,7 +59,15 @@ const std::vector<std::string>& plant_families() {
   return kFamilies;
 }
 
-Scenario generate_scenario(PropRng& rng, const GenLimits& limits,
+namespace {
+
+thread_local ScenarioLog* active_log = nullptr;
+
+void log_scenario(const Scenario& sc) {
+  if (active_log != nullptr) active_log->scenarios.push_back(sc);
+}
+
+Scenario generate_unlogged(PropRng& rng, const GenLimits& limits,
                            const ScenarioOptions& options) {
   // Pick a plant family small enough for the current limits.  The shrink
   // loop lowers max_state_dim to steer failures toward low-dimensional
@@ -165,6 +173,23 @@ Scenario generate_scenario(PropRng& rng, const GenLimits& limits,
   return sc;
 }
 
+}  // namespace
+
+ScenarioLog::ScenarioLog() : prev_(active_log) { active_log = this; }
+
+ScenarioLog::~ScenarioLog() { active_log = prev_; }
+
+void note_draws(std::string_view line) {
+  if (active_log != nullptr) active_log->notes.emplace_back(line);
+}
+
+Scenario generate_scenario(PropRng& rng, const GenLimits& limits,
+                           const ScenarioOptions& options) {
+  Scenario sc = generate_unlogged(rng, limits, options);
+  log_scenario(sc);
+  return sc;
+}
+
 const std::vector<core::AttackKind>& adversarial_attack_kinds() {
   static const std::vector<core::AttackKind> kKinds = {
       core::AttackKind::kStealthyRamp, core::AttackKind::kJitterReplay,
@@ -174,7 +199,7 @@ const std::vector<core::AttackKind>& adversarial_attack_kinds() {
 
 Scenario generate_adversarial_scenario(PropRng& rng, const GenLimits& limits,
                                        const ScenarioOptions& options) {
-  Scenario sc = generate_scenario(rng, limits, options);
+  Scenario sc = generate_unlogged(rng, limits, options);
   core::SimulatorCase& c = sc.scase;
 
   // Draw the adversarial kind and every attack parameter unconditionally,
@@ -217,6 +242,7 @@ Scenario generate_adversarial_scenario(PropRng& rng, const GenLimits& limits,
   }
 
   c.validate();
+  log_scenario(sc);
   return sc;
 }
 

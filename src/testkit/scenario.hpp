@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
@@ -88,5 +89,27 @@ struct Scenario {
 /// to an attack-free run exactly like the base generator.
 [[nodiscard]] Scenario generate_adversarial_scenario(PropRng& rng, const GenLimits& limits,
                                                      const ScenarioOptions& options = {});
+
+/// What a property generated, for `awd_prop_fuzz --describe`: while a
+/// ScenarioLog is alive on a thread, every scenario generated there lands in
+/// `scenarios` (as generated, before the property edits it) and every
+/// note_draws() line in `notes`.  Logs nest; the innermost one records.
+class ScenarioLog {
+ public:
+  ScenarioLog();
+  ~ScenarioLog();
+  ScenarioLog(const ScenarioLog&) = delete;
+  ScenarioLog& operator=(const ScenarioLog&) = delete;
+
+  std::vector<Scenario> scenarios;
+  std::vector<std::string> notes;
+
+ private:
+  ScenarioLog* prev_;
+};
+
+/// Record a property's own draws (e.g. the Thm-1 shrink geometry) in this
+/// thread's ScenarioLog; a no-op without one.
+void note_draws(std::string_view line);
 
 }  // namespace awd::testkit

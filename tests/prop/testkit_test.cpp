@@ -299,9 +299,16 @@ TEST(CorpusTest, CommittedCorpusLoadsAndReplaysClean) {
     const Property* p = find_property(e.property);
     ASSERT_NE(p, nullptr) << e.path << " names unknown property " << e.property;
     if (!e.family.empty()) families.insert(e.family);
+    const ScenarioLog log;
     const PropertyResult r = run_single(*p, e.seed, {});
     EXPECT_TRUE(r.passed) << e.path << " (" << e.property << " seed " << e.seed
                           << "): " << r.message;
+    // The family label is what the coverage check below counts, so it must
+    // name the plant the seed actually generates.
+    if (!e.family.empty()) {
+      ASSERT_FALSE(log.scenarios.empty()) << e.path;
+      EXPECT_EQ(log.scenarios.front().family, e.family) << e.path;
+    }
   }
   for (const std::string& fam : plant_families()) {
     EXPECT_TRUE(families.count(fam)) << "no corpus entry exercises family " << fam;

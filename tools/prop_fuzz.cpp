@@ -9,6 +9,10 @@
 //       single-command replay line printed for every failure.
 //   awd_prop_fuzz --corpus=DIR
 //       replay every committed corpus entry (tests/prop/corpus/*.json).
+//   --describe (with --replay or --corpus)
+//       also print what each seed generates: every scenario (family label
+//       first) and the property's own draws, such as the Thm-1 shrink
+//       geometry — what a corpus entry's family and note must match.
 //   awd_prop_fuzz --list
 //       print the property catalogue with paper references.
 //
@@ -35,6 +39,8 @@ using awd::testkit::Property;
 using awd::testkit::PropertyResult;
 using awd::testkit::RunnerOptions;
 using awd::testkit::RunReport;
+using awd::testkit::Scenario;
+using awd::testkit::ScenarioLog;
 
 void print_usage(std::ostream& out) {
   out << "usage: awd_prop_fuzz [options]\n"
@@ -43,6 +49,8 @@ void print_usage(std::ostream& out) {
          "  --property=a,b      comma-separated subset of the catalogue\n"
          "  --replay=SEED       evaluate --property once at this exact trial seed\n"
          "  --corpus=DIR        replay every *.json corpus entry under DIR\n"
+         "  --describe          with --replay/--corpus: print each seed's generated\n"
+         "                      scenarios and the property's own draws\n"
          "  --report=FILE       write the deterministic JSON report to FILE\n"
          "  --time-budget=SEC   stop early after SEC seconds (flags the report)\n"
          "  --max-steps=N       generation cap: simulation steps (default 220)\n"
@@ -99,25 +107,31 @@ void print_catalogue(std::ostream& out) {
   }
 }
 
+/// The --describe lines: what one property evaluation generated.
+void print_log(const ScenarioLog& log) {
+  for (const Scenario& sc : log.scenarios) std::cout << "  scenario: " << sc.describe() << "\n";
+  for (const std::string& note : log.notes) std::cout << "  draws: " << note << "\n";
+}
+
 int run_replay(const std::string& property_name, std::uint64_t replay_seed,
-               const GenLimits& limits) {
+               const GenLimits& limits, bool describe) {
   const Property* property = awd::testkit::find_property(property_name);
   if (property == nullptr) {
     std::cerr << "error: unknown property '" << property_name
               << "' (see --list for the catalogue)\n";
     return 2;
   }
+  const ScenarioLog log;
   const PropertyResult r = awd::testkit::run_single(*property, replay_seed, limits);
-  if (r.passed) {
-    std::cout << "ok   " << property->name << " seed " << replay_seed << "\n";
-    return 0;
-  }
-  std::cout << "FAIL " << property->name << " seed " << replay_seed << "\n  "
-            << r.message << "\n";
+  std::cout << (r.passed ? "ok   " : "FAIL ") << property->name << " seed " << replay_seed
+            << "\n";
+  if (describe) print_log(log);
+  if (r.passed) return 0;
+  std::cout << "  " << r.message << "\n";
   return 1;
 }
 
-int run_corpus(const std::string& dir, const GenLimits& limits) {
+int run_corpus(const std::string& dir, const GenLimits& limits, bool describe) {
   std::vector<CorpusEntry> corpus;
   try {
     corpus = awd::testkit::load_corpus(dir);
@@ -133,12 +147,14 @@ int run_corpus(const std::string& dir, const GenLimits& limits) {
                 << entry.property << "'\n";
       return 2;
     }
+    const ScenarioLog log;
     const PropertyResult r = awd::testkit::run_single(*property, entry.seed, limits);
     std::cout << (r.passed ? "ok   " : "FAIL ") << entry.property << " seed "
               << entry.seed;
     if (!entry.family.empty()) std::cout << " [" << entry.family << "]";
     if (!entry.note.empty()) std::cout << " — " << entry.note;
     std::cout << "\n";
+    if (describe) print_log(log);
     if (!r.passed) {
       ++failures;
       std::cout << "  " << r.message << "\n";
@@ -159,6 +175,7 @@ int main(int argc, char** argv) {
   std::uint64_t replay_seed = 0;
   bool has_replay = false;
   bool verbose = false;
+  bool describe = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -232,6 +249,8 @@ int main(int argc, char** argv) {
       options.shrink = false;
     } else if (arg == "--verbose") {
       verbose = true;
+    } else if (arg == "--describe") {
+      describe = true;
     } else {
       std::cerr << "error: unknown option '" << arg << "'\n";
       print_usage(std::cerr);
@@ -244,10 +263,14 @@ int main(int argc, char** argv) {
       std::cerr << "error: --replay needs exactly one --property=NAME\n";
       return 2;
     }
-    return run_replay(options.properties.front(), replay_seed, options.limits);
+    return run_replay(options.properties.front(), replay_seed, options.limits, describe);
   }
   if (!corpus_dir.empty()) {
-    return run_corpus(corpus_dir, options.limits);
+    return run_corpus(corpus_dir, options.limits, describe);
+  }
+  if (describe) {
+    std::cerr << "error: --describe needs --replay=SEED or --corpus=DIR\n";
+    return 2;
   }
 
   options.log = verbose ? &std::cerr : nullptr;
