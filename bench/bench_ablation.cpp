@@ -1,6 +1,6 @@
 // bench_ablation — design-choice ablations (extension; DESIGN.md §6).
 //
-// Four studies quantify the design decisions the paper makes:
+// Three studies quantify the design decisions the paper makes:
 //   A. Complementary detection ON vs OFF (§4.2.1) — without the sweeps,
 //      spikes that were logged under a long window escape when the
 //      deadline collapses.  Measured as the detection rate of a synthetic
@@ -10,10 +10,9 @@
 //      margin.
 //   C. Initial-state ball radius (§3.3.1) — treating the trusted seed as a
 //      noisy set rather than a point.
-//   D. Box (Eq. 4/5) vs zonotope reachable sets — what the paper's box
-//      simplification costs in deadline steps, and what the zonotope costs
-//      in time.
-#include <chrono>
+// The paper's box reach set needs no ablation against a tighter set
+// representation: for a box safe set its per-dimension bounds are exact
+// (tests/reach/deadline_witness_test.cpp).
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -22,7 +21,6 @@
 #include "detect/adaptive.hpp"
 #include "obs/obs.hpp"
 #include "reach/deadline.hpp"
-#include "reach/zonotope.hpp"
 
 namespace {
 
@@ -98,40 +96,6 @@ void ablation_conservatism() {
   }
 }
 
-// --- D: box vs zonotope -----------------------------------------------------
-
-void ablation_zonotope() {
-  bench::subheading("D. Box (Eq. 4/5) vs zonotope reachable sets");
-  std::printf("  %-16s %12s %12s %14s %14s\n", "plant", "box t_d", "zono t_d",
-              "box us/call", "zono us/call");
-  for (const char* key : {"aircraft_pitch", "series_rlc", "dc_motor", "quadrotor"}) {
-    const core::SimulatorCase scase = core::simulator_case(key);
-    const reach::BoxBackend box_est(scase.model, scase.u_range, scase.eps_reach,
-                                    scase.safe_set,
-                                    reach::DeadlineConfig{scase.max_window});
-    const reach::ZonotopeDeadlineEstimator zono_est(scase.model, scase.u_range,
-                                                    scase.eps_reach, scase.safe_set,
-                                                    scase.max_window, 64);
-    const auto time_us = [](auto&& fn) {
-      const auto start = std::chrono::steady_clock::now();
-      std::size_t result = 0;
-      const int reps = 50;
-      for (int i = 0; i < reps; ++i) result = fn();
-      const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-      return std::pair<std::size_t, double>(result, static_cast<double>(us) / reps);
-    };
-    const auto [d_box, t_box] = time_us([&] { return box_est.estimate(scase.reference); });
-    const auto [d_zono, t_zono] =
-        time_us([&] { return zono_est.estimate(scase.reference); });
-    std::printf("  %-16s %12zu %12zu %14.1f %14.1f\n", key, d_box, d_zono, t_box, t_zono);
-  }
-  std::printf("  -> zonotopes track cross-dimension correlations (never-shorter\n");
-  std::printf("     deadlines when eps = 0) but cost more per query; the paper's\n");
-  std::printf("     box tables are the right run-time choice\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -139,6 +103,5 @@ int main(int argc, char** argv) {
   bench::heading("Ablations — design choices of the detection system");
   ablation_complementary();
   ablation_conservatism();
-  ablation_zonotope();
   return 0;
 }

@@ -35,12 +35,6 @@ constexpr CrcTables make_crc_tables() {
 
 constexpr CrcTables kCrcTables = make_crc_tables();
 
-/// Little-endian 32-bit load from byte loads (any alignment).
-std::uint32_t load_le32(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
-}
-
 // Sanity limit on the count prefix of any length-prefixed field.  Snapshots
 // of this library hold vectors of dimension <= ~12 and ring buffers of a few
 // hundred entries; a count beyond this bound can only come from corruption,
@@ -157,16 +151,14 @@ bool Reader::b(bool& v) {
 bool Reader::u32(std::uint32_t& v) {
   const std::uint8_t* p = nullptr;
   if (!take(4, p)) return false;
-  v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+  v = load_le32(p);
   return true;
 }
 
 bool Reader::u64(std::uint64_t& v) {
   const std::uint8_t* p = nullptr;
   if (!take(8, p)) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  v = load_le64(p);
   return true;
 }
 

@@ -71,6 +71,15 @@ inline void store_le32(std::uint8_t* p, std::uint32_t v) noexcept {
 inline void store_le64(std::uint8_t* p, std::uint64_t v) noexcept {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
+/// Load a little-endian value from `p` (byte loads; no alignment needed).
+inline std::uint32_t load_le32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
+inline std::uint64_t load_le64(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint64_t>(load_le32(p)) |
+         static_cast<std::uint64_t>(load_le32(p + 4)) << 32;
+}
 
 /// Append-only little-endian encoder.  Multi-byte values go in as one
 /// block each; extend() hands out a block for callers that lay out several
@@ -129,6 +138,10 @@ class Reader {
   [[nodiscard]] bool opt_vec(std::optional<linalg::Vec>& v);
   /// Nested byte block: on success `out` borrows the block's bytes.
   [[nodiscard]] bool block(Reader& out);
+  /// Borrow the next `n` bytes as one bounds-checked block (the reading
+  /// mirror of Writer::extend) for callers that decode several fields at
+  /// once.
+  [[nodiscard]] bool take(std::size_t n, const std::uint8_t*& out);
 
   /// Mark the payload malformed (semantic violation found by a caller,
   /// e.g. an out-of-range enum value); all further reads fail.
@@ -146,8 +159,6 @@ class Reader {
   }
 
  private:
-  [[nodiscard]] bool take(std::size_t n, const std::uint8_t*& out);
-
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;

@@ -337,23 +337,39 @@ void write_flight_frames(Writer& w, const std::vector<obs::FlightFrame>& frames)
   }
 }
 
-bool read_flight_frame(Reader& r, obs::FlightFrame& f) {
+bool read_flight_frames(Reader& r, std::uint64_t count,
+                        std::vector<obs::FlightFrame>& frames) {
   constexpr std::uint32_t kKnownFlags =
       obs::kFrameAdaptiveAlarm | obs::kFrameFixedAlarm | obs::kFrameAttackActive |
       obs::kFrameUnsafe | obs::kFrameSampleMissing | obs::kFrameEstimateFallback |
       obs::kFrameResidualQuarantined | obs::kFrameDeadlineFallback;
-  std::uint32_t flags = 0;
-  if (!r.u64(f.t) || !r.f64(f.residual_norm) || !r.f64(f.detect_stat) ||
-      !r.u32(f.deadline) || !r.u32(f.window) || !r.u32(flags) || !r.u8(f.fault) ||
-      !r.u8(f.health)) {
-    return false;
-  }
-  if ((flags & ~kKnownFlags) != 0 || f.fault >= fault::kFaultKindCount ||
-      f.health > static_cast<std::uint8_t>(fault::HealthState::kFailsafe)) {
+  const std::uint8_t* p = nullptr;
+  // Checked against what is left before multiplying, so a forged count can
+  // neither overflow the size nor reserve more than the payload holds.
+  if (count > r.remaining() / kFlightFrameBytes) {
     r.fail();
     return false;
   }
-  f.flags = static_cast<std::uint16_t>(flags);
+  if (!r.take(static_cast<std::size_t>(count) * kFlightFrameBytes, p)) return false;
+  frames.reserve(frames.size() + static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i, p += kFlightFrameBytes) {
+    obs::FlightFrame f;
+    f.t = load_le64(p);
+    f.residual_norm = std::bit_cast<double>(load_le64(p + 8));
+    f.detect_stat = std::bit_cast<double>(load_le64(p + 16));
+    f.deadline = load_le32(p + 24);
+    f.window = load_le32(p + 28);
+    const std::uint32_t flags = load_le32(p + 32);
+    f.fault = p[36];
+    f.health = p[37];
+    if ((flags & ~kKnownFlags) != 0 || f.fault >= fault::kFaultKindCount ||
+        f.health > static_cast<std::uint8_t>(fault::HealthState::kFailsafe)) {
+      r.fail();
+      return false;
+    }
+    f.flags = static_cast<std::uint16_t>(flags);
+    frames.push_back(f);
+  }
   return true;
 }
 

@@ -67,12 +67,13 @@ void write_system_options(Writer& w, const DetectionSystemOptions& o);
 /// Flight-recorder frames (DESIGN.md §15) — the payload unit of the .awdfr
 /// forensic dump's frame section, kFlightFrameBytes each: t, residual_norm,
 /// detect_stat, deadline, window, flags (as u32), fault, health.  The writer
-/// appends the frames as one block; the reader takes one frame and rejects
-/// out-of-range health/fault enum values and unknown flag bits, so a
-/// tampered dump can never decode into frames the replay verifier would
-/// misinterpret.
+/// appends the frames as one block; the reader takes `count` frames as one
+/// block, appends them to `frames`, and rejects out-of-range health/fault
+/// enum values and unknown flag bits, so a tampered dump can never decode
+/// into frames the replay verifier would misinterpret.
 inline constexpr std::size_t kFlightFrameBytes = 38;
 void write_flight_frames(Writer& w, const std::vector<obs::FlightFrame>& frames);
-[[nodiscard]] bool read_flight_frame(Reader& r, obs::FlightFrame& f);
+[[nodiscard]] bool read_flight_frames(Reader& r, std::uint64_t count,
+                                      std::vector<obs::FlightFrame>& frames);
 
 }  // namespace awd::core::ckpt

@@ -66,7 +66,14 @@ ReachSystem::ReachSystem(models::DiscreteLti model, Box u_range, double eps,
 
     // Noise: ε ‖(A^{t-1})ᵀ e_i‖₂ = ε ‖row_i(A^{t-1})‖₂.
     Vec noise = cum_noise_.back();
+#ifdef AWD_MUT_REACH_NOISE_INFLATED
+    // [mutation-smoke seeded bug] inflates the noise term by 1 %: the cached
+    // walk and the uncached recursion both read it, so they still agree, and
+    // every deadline turns conservative instead of exact.
+    for (std::size_t i = 0; i < n; ++i) noise[i] += 1.01 * eps_ * prev.row_vec(i).norm2();
+#else
     for (std::size_t i = 0; i < n; ++i) noise[i] += eps_ * prev.row_vec(i).norm2();
+#endif
     cum_noise_.push_back(std::move(noise));
 
     // Row norms of the next power A^t (already present in the cache).

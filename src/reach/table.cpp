@@ -241,11 +241,21 @@ core::Result<std::unique_ptr<Backend>> make_table_backend(const BackendSpec& spe
                     "deadline table: grid does not match the spec's table config"};
     }
   }
+  bool all_zero = true;
   for (const std::uint16_t v : table.deadlines) {
     if (v > table.max_window) {
       return Status{StatusCode::kInvalidInput,
                     "deadline table: cell deadline exceeds max_window"};
     }
+    all_zero = all_zero && v == 0;
+  }
+  // Each cell's walk is inflated by the cell's half-width; on a coarse grid
+  // that swallows the whole horizon, and a table whose every deadline is 0
+  // would hold every stream at window 0.
+  if (all_zero) {
+    return Status{StatusCode::kInvalidInput,
+                  "deadline table: every deadline is 0 (the grid is too coarse "
+                  "for the cell inflation; raise the cell count)"};
   }
   if (spec_fingerprint(source_variant(spec)) != table.source_fingerprint) {
     return Status{StatusCode::kInvalidInput,

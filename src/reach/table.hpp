@@ -72,7 +72,8 @@ struct DeadlineTable {
 /// Cross-checks the table against the spec — dimension, horizon, grid
 /// shape, and that table.source_fingerprint matches the fingerprint of the
 /// spec's box variant — so a stale or foreign table is rejected
-/// instead of served.
+/// instead of served.  A table whose every deadline is 0 is rejected too
+/// (kInvalidInput): it would hold every stream at window 0.
 [[nodiscard]] core::Result<std::unique_ptr<Backend>> make_table_backend(
     const BackendSpec& spec, DeadlineTable table);
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -105,6 +106,131 @@ bool read_meta(ckpt::Reader& r, EngineMeta& m) {
 
 constexpr core::Status kTrailing{core::StatusCode::kDataLoss,
                                  "snapshot section has trailing bytes"};
+
+bool read_stream_result(ckpt::Reader& r, StreamResult& res) {
+  std::uint64_t id = 0;
+  std::uint64_t steps = 0;
+  std::uint64_t evaluations = 0;
+  core::StatusCode code = core::StatusCode::kOk;
+  if (!r.u64(id) || !read_status_code(r, code) || !r.u64(steps) ||
+      !read_run_metrics(r, res.adaptive) || !read_run_metrics(r, res.fixed) ||
+      !read_health_state(r, res.final_health) || !r.u64(evaluations)) {
+    return false;
+  }
+  res.id = id;
+  res.steps = static_cast<std::size_t>(steps);
+  res.adaptive_evaluations = static_cast<std::size_t>(evaluations);
+  // Messages are static literals; the original cannot survive a round-trip,
+  // so non-OK results carry a generic marker.
+  res.status = code == core::StatusCode::kOk
+                   ? core::Status::ok()
+                   : core::Status{code, "failure recorded before checkpoint"};
+  return true;
+}
+
+/// A stream section: its decoded spec and the still-unread state block.
+struct SnapshotStream {
+  std::uint64_t id = 0;
+  std::uint64_t steps_done = 0;
+  StreamSpec spec;
+  ckpt::Reader state{nullptr, 0};
+};
+
+/// What walk_snapshot hands its caller.  `meta` runs once, before any other
+/// section; the rest run per entry in image order.  A non-OK status from
+/// `stream` ends the walk with that status.
+struct SnapshotVisitor {
+  std::function<void(const ckpt::SnapshotView&, const EngineMeta&)> meta;
+  std::function<core::Status(SnapshotStream&)> stream;
+  std::function<void(std::uint64_t id, StreamSpec&& spec)> pending;
+  std::function<void(StreamResult&& result)> finished;
+};
+
+/// The one decoder of an engine snapshot, shared by restore and
+/// describe_snapshot: framing, the meta section (read over `meta`, so fields
+/// the image does not carry keep their values), every stream, pending and
+/// finished entry, and last the fingerprint over the policy bytes and each
+/// spec's canonical re-encoding.
+core::Status walk_snapshot(const std::vector<std::uint8_t>& bytes, EngineMeta meta,
+                           const SnapshotVisitor& visit) {
+  core::Result<ckpt::SnapshotView> parsed = ckpt::SnapshotView::parse(bytes);
+  if (!parsed.is_ok()) return parsed.status();
+  const ckpt::SnapshotView view = std::move(parsed).value();
+
+  const ckpt::SectionView* meta_section = view.find(kSectionEngineMeta);
+  if (meta_section == nullptr) {
+    return core::Status{core::StatusCode::kDataLoss,
+                        "snapshot missing the engine meta section"};
+  }
+  ckpt::Reader meta_reader = meta_section->reader();
+  if (!read_meta(meta_reader, meta)) return meta_reader.status();
+  if (!meta_reader.at_end()) return kTrailing;
+  visit.meta(view, meta);
+
+  ckpt::Writer fp;
+  write_policy(fp, meta.policy);
+  const auto read_spec = [&fp](ckpt::Reader& r, StreamSpec& spec) {
+    if (!read_stream_spec(r, spec)) return r.status();
+    if (!r.at_end()) return kTrailing;
+    ckpt::Writer spec_w;  // canonical re-encoding for the fingerprint
+    write_stream_spec(spec_w, spec);
+    fp.bytes(spec_w.data().data(), spec_w.size());
+    return core::Status::ok();
+  };
+
+  for (const ckpt::SectionView& section : view.sections()) {
+    ckpt::Reader r = section.reader();
+    switch (section.id) {
+      case kSectionEngineMeta:
+        break;  // read above
+      case kSectionStream: {
+        SnapshotStream stream;
+        ckpt::Reader spec_reader(nullptr, 0);
+        if (!r.u64(stream.id) || !r.u64(stream.steps_done) || !r.block(spec_reader) ||
+            !r.block(stream.state)) {
+          return r.status();
+        }
+        if (!r.at_end()) return kTrailing;
+        if (core::Status s = read_spec(spec_reader, stream.spec); !s.is_ok()) return s;
+        if (core::Status s = visit.stream(stream); !s.is_ok()) return s;
+        break;
+      }
+      case kSectionPending: {
+        std::uint64_t count = 0;
+        if (!r.u64(count)) return r.status();
+        for (std::uint64_t i = 0; i < count; ++i) {
+          std::uint64_t id = 0;
+          ckpt::Reader spec_reader(nullptr, 0);
+          if (!r.u64(id) || !r.block(spec_reader)) return r.status();
+          StreamSpec spec;
+          if (core::Status s = read_spec(spec_reader, spec); !s.is_ok()) return s;
+          visit.pending(id, std::move(spec));
+        }
+        if (!r.at_end()) return kTrailing;
+        break;
+      }
+      case kSectionFinished: {
+        std::uint64_t count = 0;
+        if (!r.u64(count)) return r.status();
+        for (std::uint64_t i = 0; i < count; ++i) {
+          StreamResult res;
+          if (!read_stream_result(r, res)) return r.status();
+          visit.finished(std::move(res));
+        }
+        if (!r.at_end()) return kTrailing;
+        break;
+      }
+      default:
+        return core::Status{core::StatusCode::kUnimplemented,
+                            "snapshot contains an unknown section"};
+    }
+  }
+
+  if (ckpt::fnv1a64(fp.data().data(), fp.size()) != view.fingerprint()) {
+    return core::Status{core::StatusCode::kDataLoss, "snapshot fingerprint mismatch"};
+  }
+  return core::Status::ok();
+}
 
 }  // namespace
 
@@ -228,163 +354,79 @@ core::Status StreamEngine::restore(const std::vector<std::uint8_t>& bytes) {
                         "restore requires an empty engine (drain or use a fresh one)"};
   }
 
-  core::Result<ckpt::SnapshotView> parsed = ckpt::SnapshotView::parse(bytes);
-  if (!parsed.is_ok()) return parsed.status();
-  const ckpt::SnapshotView view = std::move(parsed).value();
-
-  const ckpt::SectionView* meta_section = view.find(kSectionEngineMeta);
-  if (meta_section == nullptr) {
-    return core::Status{core::StatusCode::kDataLoss,
-                        "snapshot missing the engine meta section"};
-  }
-  ckpt::Reader meta_reader = meta_section->reader();
   EngineMeta meta;
   meta.policy = options_;  // threads survives; policy fields are overwritten
-  if (!read_meta(meta_reader, meta)) return meta_reader.status();
-  if (!meta_reader.at_end()) return kTrailing;
-  meta.policy.threads = options_.threads;
+  const core::Status walked = walk_snapshot(bytes, meta, {
+      .meta =
+          [&](const ckpt::SnapshotView&, const EngineMeta& read) {
+            meta = read;
+            // Adopt the snapshot's serving policy before rebuilding streams —
+            // the per-stream options derived below must match what the
+            // checkpointing engine ran with, or detection outputs diverge.
+            options_ = meta.policy;
+            next_shard_ = 0;
+          },
+      .stream =
+          [&](SnapshotStream& stream) {
+            StreamSpec& spec = stream.spec;
+            ckpt::Reader& state = stream.state;
+            if (core::Status s = spec.scase.check(); !s.is_ok()) return s;
+            core::DetectionSystemOptions opts = effective_options_(spec);
+            const bool want_shared = options_.share_deadline_estimators &&
+                                     !spec.options.shared_deadline_estimator;
+            core::Result<core::DetectionSystem> created = core::DetectionSystem::create(
+                spec.scase, spec.attack, spec.seed, std::move(opts));
+            if (!created.is_ok()) return created.status();
+            core::DetectionSystem system = std::move(created).value();
+            if (core::Status s = system.deserialize(state); !s.is_ok()) return s;
+            core::StreamingMetrics metrics(spec.scase.attack_start,
+                                           spec.scase.attack_duration, spec.metrics);
+            if (core::Status s = metrics.deserialize(state); !s.is_ok()) return s;
 
-  // Adopt the snapshot's serving policy before rebuilding streams — the
-  // per-stream options derived below must match what the checkpointing
-  // engine ran with, or detection outputs diverge.
-  options_ = meta.policy;
-  next_shard_ = 0;
+            std::uint64_t deadline = 0;
+            std::uint64_t window = 0;
+            bool adaptive_alarm = false;
+            bool fixed_alarm = false;
+            fault::HealthState health = fault::HealthState::kNominal;
+            if (!state.u64(deadline) || !state.u64(window) || !state.b(adaptive_alarm) ||
+                !state.b(fixed_alarm) || !read_health_state(state, health)) {
+              return state.status();
+            }
+            if (!state.at_end()) return kTrailing;
+            if (stream.steps_done > spec.steps) {
+              return core::Status{core::StatusCode::kDataLoss,
+                                  "snapshot stream progress exceeds its run length"};
+            }
 
-  ckpt::Writer fp;
-  write_policy(fp, options_);
+            // Publish the (possibly fresh) estimator to the family cache so
+            // the remaining streams of this family share it, mirroring
+            // admission.
+            if (want_shared) {
+              const std::string key = family_fingerprint(spec.scase, spec.options);
+              if (estimator_cache_.find(key) == estimator_cache_.end()) {
+                estimator_cache_.emplace(key, system.estimator_handle());
+              }
+            }
 
-  for (const ckpt::SectionView& section : view.sections()) {
-    ckpt::Reader r = section.reader();
-    switch (section.id) {
-      case kSectionEngineMeta:
-        break;  // handled above
-      case kSectionStream: {
-        std::uint64_t id = 0;
-        std::uint64_t steps_done = 0;
-        ckpt::Reader spec_reader(nullptr, 0);
-        ckpt::Reader state_reader(nullptr, 0);
-        if (!r.u64(id) || !r.u64(steps_done) || !r.block(spec_reader) ||
-            !r.block(state_reader)) {
-          return r.status();
-        }
-        if (!r.at_end()) return kTrailing;
-
-        StreamSpec spec;
-        if (!read_stream_spec(spec_reader, spec)) return spec_reader.status();
-        if (!spec_reader.at_end()) return kTrailing;
-        {
-          ckpt::Writer spec_w;  // canonical re-encoding for the fingerprint
-          write_stream_spec(spec_w, spec);
-          fp.bytes(spec_w.data().data(), spec_w.size());
-        }
-        if (core::Status s = spec.scase.check(); !s.is_ok()) return s;
-
-        core::DetectionSystemOptions opts = effective_options_(spec);
-        const bool want_shared = options_.share_deadline_estimators &&
-                                 !spec.options.shared_deadline_estimator;
-        core::Result<core::DetectionSystem> created = core::DetectionSystem::create(
-            spec.scase, spec.attack, spec.seed, std::move(opts));
-        if (!created.is_ok()) return created.status();
-        core::DetectionSystem system = std::move(created).value();
-        if (core::Status s = system.deserialize(state_reader); !s.is_ok()) {
-          return s;
-        }
-
-        core::StreamingMetrics metrics(spec.scase.attack_start,
-                                       spec.scase.attack_duration, spec.metrics);
-        if (core::Status s = metrics.deserialize(state_reader); !s.is_ok()) return s;
-
-        std::uint64_t deadline = 0;
-        std::uint64_t window = 0;
-        bool adaptive_alarm = false;
-        bool fixed_alarm = false;
-        fault::HealthState health = fault::HealthState::kNominal;
-        if (!state_reader.u64(deadline) || !state_reader.u64(window) ||
-            !state_reader.b(adaptive_alarm) || !state_reader.b(fixed_alarm) ||
-            !read_health_state(state_reader, health)) {
-          return state_reader.status();
-        }
-        if (!state_reader.at_end()) return kTrailing;
-        if (steps_done > spec.steps) {
-          return core::Status{core::StatusCode::kDataLoss,
-                              "snapshot stream progress exceeds its run length"};
-        }
-
-        // Publish the (possibly fresh) estimator to the family cache so the
-        // remaining streams of this family share it, mirroring admission.
-        if (want_shared) {
-          const std::string key = family_fingerprint(spec.scase, spec.options);
-          if (estimator_cache_.find(key) == estimator_cache_.end()) {
-            estimator_cache_.emplace(key, system.estimator_handle());
-          }
-        }
-
-        auto runtime = std::make_unique<StreamRuntime>(
-            id, std::move(spec), std::move(system), std::move(metrics));
-        const auto [shard_index, slot] = place_runtime_(std::move(runtime));
-        StreamSoa& soa = shards_[shard_index].soa;
-        soa.steps_done[slot] = static_cast<std::size_t>(steps_done);
-        soa.deadline[slot] = static_cast<std::size_t>(deadline);
-        soa.window[slot] = static_cast<std::size_t>(window);
-        soa.adaptive_alarm[slot] = adaptive_alarm ? 1 : 0;
-        soa.fixed_alarm[slot] = fixed_alarm ? 1 : 0;
-        soa.health[slot] = static_cast<std::uint8_t>(health);
-        break;
-      }
-      case kSectionPending: {
-        std::uint64_t count = 0;
-        if (!r.u64(count)) return r.status();
-        for (std::uint64_t i = 0; i < count; ++i) {
-          std::uint64_t id = 0;
-          ckpt::Reader spec_reader(nullptr, 0);
-          if (!r.u64(id) || !r.block(spec_reader)) return r.status();
-          StreamSpec spec;
-          if (!read_stream_spec(spec_reader, spec)) return spec_reader.status();
-          if (!spec_reader.at_end()) return kTrailing;
-          ckpt::Writer spec_w;
-          write_stream_spec(spec_w, spec);
-          fp.bytes(spec_w.data().data(), spec_w.size());
-          pending_.emplace_back(id, std::move(spec));
-        }
-        if (!r.at_end()) return kTrailing;
-        break;
-      }
-      case kSectionFinished: {
-        std::uint64_t count = 0;
-        if (!r.u64(count)) return r.status();
-        for (std::uint64_t i = 0; i < count; ++i) {
-          StreamResult res;
-          std::uint64_t id = 0;
-          std::uint64_t steps = 0;
-          std::uint64_t evaluations = 0;
-          core::StatusCode code = core::StatusCode::kOk;
-          if (!r.u64(id) || !read_status_code(r, code) || !r.u64(steps) ||
-              !read_run_metrics(r, res.adaptive) || !read_run_metrics(r, res.fixed) ||
-              !read_health_state(r, res.final_health) || !r.u64(evaluations)) {
-            return r.status();
-          }
-          res.id = id;
-          res.steps = static_cast<std::size_t>(steps);
-          res.adaptive_evaluations = static_cast<std::size_t>(evaluations);
-          // Messages are static literals; the original cannot survive a
-          // round-trip, so non-OK results carry a generic marker.
-          res.status = code == core::StatusCode::kOk
-                           ? core::Status::ok()
-                           : core::Status{code, "failure recorded before checkpoint"};
-          finished_.emplace(res.id, std::move(res));
-        }
-        if (!r.at_end()) return kTrailing;
-        break;
-      }
-      default:
-        return core::Status{core::StatusCode::kUnimplemented,
-                            "snapshot contains an unknown section"};
-    }
-  }
-
-  if (ckpt::fnv1a64(fp.data().data(), fp.size()) != view.fingerprint()) {
-    return core::Status{core::StatusCode::kDataLoss, "snapshot fingerprint mismatch"};
-  }
+            auto runtime = std::make_unique<StreamRuntime>(
+                stream.id, std::move(spec), std::move(system), std::move(metrics));
+            const auto [shard_index, slot] = place_runtime_(std::move(runtime));
+            StreamSoa& soa = shards_[shard_index].soa;
+            soa.steps_done[slot] = static_cast<std::size_t>(stream.steps_done);
+            soa.deadline[slot] = static_cast<std::size_t>(deadline);
+            soa.window[slot] = static_cast<std::size_t>(window);
+            soa.adaptive_alarm[slot] = adaptive_alarm ? 1 : 0;
+            soa.fixed_alarm[slot] = fixed_alarm ? 1 : 0;
+            soa.health[slot] = static_cast<std::uint8_t>(health);
+            return core::Status::ok();
+          },
+      .pending =
+          [&](std::uint64_t id, StreamSpec&& spec) {
+            pending_.emplace_back(id, std::move(spec));
+          },
+      .finished = [&](StreamResult&& res) { finished_.emplace(res.id, std::move(res)); },
+  });
+  if (!walked.is_ok()) return walked;
 
   next_id_ = meta.next_id;
   steps_total_ = meta.steps_total;
@@ -421,99 +463,42 @@ core::Status StreamEngine::rebalance(std::size_t new_shards) {
 // --- inspection ------------------------------------------------------------
 
 core::Result<SnapshotInfo> describe_snapshot(const std::vector<std::uint8_t>& bytes) {
-  core::Result<ckpt::SnapshotView> parsed = ckpt::SnapshotView::parse(bytes);
-  if (!parsed.is_ok()) return parsed.status();
-  const ckpt::SnapshotView view = std::move(parsed).value();
-
   SnapshotInfo info;
-  info.version = view.version();
-  info.fingerprint = view.fingerprint();
-  info.bytes = bytes.size();
-  info.sections = view.sections().size();
-
-  const ckpt::SectionView* meta_section = view.find(kSectionEngineMeta);
-  if (meta_section == nullptr) {
-    return core::Status{core::StatusCode::kDataLoss,
-                        "snapshot missing the engine meta section"};
-  }
-  ckpt::Reader meta_reader = meta_section->reader();
-  EngineMeta meta;
-  if (!read_meta(meta_reader, meta)) return meta_reader.status();
-  if (!meta_reader.at_end()) return kTrailing;
-  info.next_id = meta.next_id;
-  info.steps_total = meta.steps_total;
-  info.streams_admitted = meta.streams_admitted;
-  info.streams_finished = meta.streams_finished;
-  info.streams_rejected = meta.streams_rejected;
-  info.max_streams = meta.policy.max_streams;
-  info.queue_capacity = meta.policy.queue_capacity;
-  info.lean_records = meta.policy.lean_records;
-  info.per_step_obs = meta.policy.per_step_obs;
-  info.share_deadline_estimators = meta.policy.share_deadline_estimators;
-
-  ckpt::Writer fp;
-  write_policy(fp, meta.policy);
-
-  for (const ckpt::SectionView& section : view.sections()) {
-    ckpt::Reader r = section.reader();
-    switch (section.id) {
-      case kSectionEngineMeta:
-        break;
-      case kSectionStream: {
-        std::uint64_t id = 0;
-        std::uint64_t steps_done = 0;
-        ckpt::Reader spec_reader(nullptr, 0);
-        ckpt::Reader state_reader(nullptr, 0);
-        if (!r.u64(id) || !r.u64(steps_done) || !r.block(spec_reader) ||
-            !r.block(state_reader)) {
-          return r.status();
-        }
-        if (!r.at_end()) return kTrailing;
-        StreamSpec spec;
-        if (!read_stream_spec(spec_reader, spec)) return spec_reader.status();
-        if (!spec_reader.at_end()) return kTrailing;
-        ckpt::Writer spec_w;
-        write_stream_spec(spec_w, spec);
-        fp.bytes(spec_w.data().data(), spec_w.size());
-        info.running.push_back(SnapshotStreamInfo{
-            id, spec.scase.key, spec.attack, spec.seed, spec.steps,
-            static_cast<std::size_t>(steps_done)});
-        break;
-      }
-      case kSectionPending: {
-        std::uint64_t count = 0;
-        if (!r.u64(count)) return r.status();
-        for (std::uint64_t i = 0; i < count; ++i) {
-          std::uint64_t id = 0;
-          ckpt::Reader spec_reader(nullptr, 0);
-          if (!r.u64(id) || !r.block(spec_reader)) return r.status();
-          StreamSpec spec;
-          if (!read_stream_spec(spec_reader, spec)) return spec_reader.status();
-          if (!spec_reader.at_end()) return kTrailing;
-          ckpt::Writer spec_w;
-          write_stream_spec(spec_w, spec);
-          fp.bytes(spec_w.data().data(), spec_w.size());
-          info.pending.push_back(
-              SnapshotStreamInfo{id, spec.scase.key, spec.attack, spec.seed, spec.steps, 0});
-        }
-        if (!r.at_end()) return kTrailing;
-        break;
-      }
-      case kSectionFinished: {
-        std::uint64_t count = 0;
-        if (!r.u64(count)) return r.status();
-        info.finished = static_cast<std::size_t>(count);
-        break;  // per-result payloads are validated by restore, not listed
-      }
-      default:
-        return core::Status{core::StatusCode::kUnimplemented,
-                            "snapshot contains an unknown section"};
-    }
-  }
-
-  if (ckpt::fnv1a64(fp.data().data(), fp.size()) != view.fingerprint()) {
-    return core::Status{core::StatusCode::kDataLoss, "snapshot fingerprint mismatch"};
-  }
+  const auto stream_info = [](std::uint64_t id, const StreamSpec& spec,
+                              std::uint64_t steps_done) {
+    return SnapshotStreamInfo{id,         spec.scase.key, spec.attack, spec.seed,
+                              spec.steps, static_cast<std::size_t>(steps_done)};
+  };
+  const core::Status walked = walk_snapshot(bytes, EngineMeta{}, {
+      .meta =
+          [&](const ckpt::SnapshotView& view, const EngineMeta& meta) {
+            info.version = view.version();
+            info.fingerprint = view.fingerprint();
+            info.bytes = bytes.size();
+            info.sections = view.sections().size();
+            info.next_id = meta.next_id;
+            info.steps_total = meta.steps_total;
+            info.streams_admitted = meta.streams_admitted;
+            info.streams_finished = meta.streams_finished;
+            info.streams_rejected = meta.streams_rejected;
+            info.max_streams = meta.policy.max_streams;
+            info.queue_capacity = meta.policy.queue_capacity;
+            info.lean_records = meta.policy.lean_records;
+            info.per_step_obs = meta.policy.per_step_obs;
+            info.share_deadline_estimators = meta.policy.share_deadline_estimators;
+          },
+      .stream =
+          [&](SnapshotStream& stream) {
+            info.running.push_back(stream_info(stream.id, stream.spec, stream.steps_done));
+            return core::Status::ok();
+          },
+      .pending =
+          [&](std::uint64_t id, StreamSpec&& spec) {
+            info.pending.push_back(stream_info(id, spec, 0));
+          },
+      .finished = [&](StreamResult&&) { ++info.finished; },
+  });
+  if (!walked.is_ok()) return walked;
   return info;
 }
 

@@ -74,10 +74,11 @@ struct SnapshotInfo {
   std::size_t finished = 0;  ///< undrained results in the image
 };
 
-/// Parse and summarize a snapshot image.  Runs the same framing validation
-/// as StreamEngine::restore (magic, version, CRCs, section structure,
-/// fingerprint) but reconstructs no pipeline state — reading a snapshot
-/// from an untrusted disk must be safe and cheap.
+/// Parse and summarize a snapshot image.  Walks it with the same decoder as
+/// StreamEngine::restore (magic, version, CRCs, section structure, every
+/// spec and finished result, fingerprint), so it rejects exactly the images
+/// restore rejects before rebuilding a stream, but reconstructs no pipeline
+/// state — reading a snapshot from an untrusted disk must be safe and cheap.
 [[nodiscard]] core::Result<SnapshotInfo> describe_snapshot(
     const std::vector<std::uint8_t>& bytes);
 

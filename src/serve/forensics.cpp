@@ -118,11 +118,8 @@ core::Result<ForensicsDump> decode_dump(const std::vector<std::uint8_t>& bytes) 
   {
     ckpt::Reader r = frames_section->reader();
     std::uint64_t count = 0;
-    if (!r.u64(count)) return r.status();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      obs::FlightFrame f;
-      if (!ckpt::read_flight_frame(r, f)) return r.status();
-      dump.frames.push_back(f);
+    if (!r.u64(count) || !ckpt::read_flight_frames(r, count, dump.frames)) {
+      return r.status();
     }
     if (!r.at_end()) return kTrailing;
   }

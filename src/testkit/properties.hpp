@@ -18,7 +18,7 @@ PropertyResult logger_matches_reference(std::uint64_t seed, const GenLimits& lim
 // (reach/backend.hpp).
 PropertyResult deadline_cached_equals_uncached(std::uint64_t seed, const GenLimits& limits);
 PropertyResult deadline_brute_force_walk(std::uint64_t seed, const GenLimits& limits);
-PropertyResult deadline_sound_on_samples(std::uint64_t seed, const GenLimits& limits);
+PropertyResult deadline_witness_exact(std::uint64_t seed, const GenLimits& limits);
 PropertyResult deadline_monotone_in_uncertainty(std::uint64_t seed, const GenLimits& limits);
 PropertyResult backend_soundness_differential(std::uint64_t seed, const GenLimits& limits);
 

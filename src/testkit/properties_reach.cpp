@@ -1,7 +1,8 @@
 // properties_reach.cpp — oracles for the Detection Deadline Estimator (§3):
 // cached-vs-uncached bit-equality (including a boundary-tuned safe set that
 // makes any stale cache term visible), brute-force walk consistency,
-// soundness on sampled concrete trajectories, and uncertainty monotonicity.
+// exactness against worst-case witness trajectories, and uncertainty
+// monotonicity.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
@@ -10,9 +11,11 @@
 #include <sstream>
 #include <string>
 
+#include "core/config.hpp"
 #include "reach/deadline.hpp"
 #include "reach/table.hpp"
 #include "testkit/properties.hpp"
+#include "testkit/witness.hpp"
 
 namespace awd::testkit::props {
 
@@ -157,40 +160,32 @@ PropertyResult deadline_brute_force_walk(std::uint64_t seed, const GenLimits& li
   return PropertyResult::pass();
 }
 
-PropertyResult deadline_sound_on_samples(std::uint64_t seed, const GenLimits& limits) {
+PropertyResult deadline_witness_exact(std::uint64_t seed, const GenLimits& limits) {
   PropRng rng(seed);
   ScenarioOptions opt;
   opt.allow_budget = false;
   const Scenario sc = generate_scenario(rng, limits, opt);
-  const core::SimulatorCase& c = sc.scase;
-  const std::size_t n = c.model.state_dim();
-  const double eps_reach = c.eps_reach == 0.0 ? c.eps : c.eps_reach;
   const double init_radius = rng.chance(0.5) ? 0.0 : rng.uniform(0.0, 0.1);
-  const BoxBackend est(c.model, c.u_range, eps_reach, c.safe_set,
-                              DeadlineConfig{c.max_window, init_radius, 0});
+  const reach::BackendSpec spec = core::make_backend_spec(sc.scase, init_radius, 0);
+  const BoxBackend est(spec.model, spec.u_range, spec.eps, spec.safe_set, spec.deadline);
 
-  const Vec u_half = c.u_range.half_widths();
-  const Vec u_center = c.u_range.center();
-  for (int k = 0; k < 4; ++k) {
-    const Vec x0 = seed_state(c, rng);
-    const std::size_t t_d = est.estimate(x0);
-    if (t_d == 0) continue;  // nothing is vouched for
-
-    // Def. 3.1, witness direction: any concrete trajectory with admissible
-    // inputs and eps-ball disturbances must stay inside S through t_d.
-    // This oracle is fully independent of the reach-box code path.
-    for (int traj = 0; traj < 8; ++traj) {
-      Vec x = x0 + rng.in_ball(n, init_radius);
-      for (std::size_t t = 1; t <= t_d; ++t) {
-        const Vec u = u_center + rng.in_box(u_half);
-        x = c.model.step(x, u) + rng.in_ball(n, eps_reach);
-        if (!c.safe_set.contains(x)) {
-          std::ostringstream os;
-          os << "UNSOUND deadline " << t_d << ": sampled trajectory " << traj
-             << " left the safe set at step " << t << "; " << sc.describe();
-          return PropertyResult::fail(os.str());
-        }
-      }
+  // Def. 3.1 from both sides: for each probe with t_d < w_m, the worst-case
+  // witness of the reach box's failing side at t_d + 1 must stay in S
+  // through t_d (soundness) and leave it at t_d + 1 (tightness).  Probes are
+  // uniform over the trusted-state domain, so most land near enough to the
+  // boundary to resolve a deadline.
+  const Box& domain = spec.table.domain;
+  for (int k = 0; k < 64; ++k) {
+    Vec x0(domain.dim());
+    for (std::size_t i = 0; i < x0.size(); ++i) {
+      x0[i] = rng.uniform(domain[i].lo, domain[i].hi);
+    }
+    const WitnessVerdict v = check_deadline_witness(est, x0);
+    if (!v.exact()) {
+      std::ostringstream os;
+      os << v.describe() << " (init_radius " << init_radius << ", probe " << k << "); "
+         << sc.describe();
+      return PropertyResult::fail(os.str());
     }
   }
   return PropertyResult::pass();

@@ -27,10 +27,11 @@ const std::vector<Property>& property_catalogue() {
        "estimate() agrees with a brute-force conservative-safety walk: safe "
        "for every t <= t_d and unsafe at t_d + 1 when t_d < w_m",
        &props::deadline_brute_force_walk},
-      {"deadline_sound_on_samples", "§3, Def. 3.1",
-       "sampled concrete trajectories (admissible inputs, eps-ball noise) "
-       "never leave the safe set within the estimated deadline",
-       &props::deadline_sound_on_samples},
+      {"deadline_witness_exact", "§3, Eq. 4-5, Def. 3.1",
+       "for t_d < w_m, the worst-case admissible trajectory attaining the "
+       "reach box's failing bound at t_d + 1 stays in the safe set through "
+       "t_d and leaves it at exactly t_d + 1 (sound and not conservative)",
+       &props::deadline_witness_exact},
       {"deadline_monotone_in_uncertainty", "§3.2, Eq. 4-5",
        "growing eps, the initial ball, or shrinking the safe set never "
        "lengthens the estimated deadline (soundness is monotone)",

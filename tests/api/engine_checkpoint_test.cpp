@@ -178,34 +178,39 @@ TEST(EngineCheckpoint, CorruptSnapshotsRejectedTyped) {
   for (int k = 0; k < 10; ++k) engine.step_all();
   const std::vector<std::uint8_t> good = engine.checkpoint().value();
 
+  // restore and describe_snapshot share one decoder, so both reject the
+  // image with the same code.
+  const auto expect_rejected = [](const std::vector<std::uint8_t>& img, StatusCode code,
+                                  const std::string& what) {
+    serve::StreamEngine fresh({.threads = 1});
+    const Status s = fresh.restore(img);
+    ASSERT_FALSE(s.is_ok()) << what;
+    EXPECT_EQ(s.code(), code) << what << ": " << s.message();
+    const Result<serve::SnapshotInfo> info = serve::describe_snapshot(img);
+    ASSERT_FALSE(info.is_ok()) << what;
+    EXPECT_EQ(info.status().code(), code) << what;
+    EXPECT_EQ(info.status().message(), s.message()) << what;
+  };
+
   // Bit flip in a section payload -> kDataLoss, never UB.
   {
     std::vector<std::uint8_t> img = good;
     img[img.size() / 2] ^= 0x10;
-    serve::StreamEngine fresh({.threads = 1});
-    const Status s = fresh.restore(img);
-    ASSERT_FALSE(s.is_ok());
-    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.message();
+    expect_rejected(img, StatusCode::kDataLoss, "bit flip");
   }
   // Truncation anywhere -> kDataLoss.
   for (std::size_t len : {std::size_t{0}, std::size_t{10}, core::ckpt::kHeaderSize,
                           good.size() / 2, good.size() - 1}) {
-    std::vector<std::uint8_t> img(good.begin(),
-                                  good.begin() + static_cast<long>(len));
-    serve::StreamEngine fresh({.threads = 1});
-    const Status s = fresh.restore(img);
-    ASSERT_FALSE(s.is_ok()) << "len " << len;
-    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << "len " << len;
+    const std::vector<std::uint8_t> img(good.begin(),
+                                        good.begin() + static_cast<long>(len));
+    expect_rejected(img, StatusCode::kDataLoss, "len " + std::to_string(len));
   }
   // Future format version -> kUnimplemented (the upgrade signal).
   {
     std::vector<std::uint8_t> img = good;
     img[8] = static_cast<std::uint8_t>(core::ckpt::kFormatVersion + 1);
     fix_header_crc(img);
-    serve::StreamEngine fresh({.threads = 1});
-    const Status s = fresh.restore(img);
-    ASSERT_FALSE(s.is_ok());
-    EXPECT_EQ(s.code(), StatusCode::kUnimplemented);
+    expect_rejected(img, StatusCode::kUnimplemented, "future version");
   }
   // Doctored fingerprint (CRC fixed up so parsing succeeds) -> the engine's
   // own fingerprint verification catches the config mismatch.
@@ -213,11 +218,30 @@ TEST(EngineCheckpoint, CorruptSnapshotsRejectedTyped) {
     std::vector<std::uint8_t> img = good;
     img[16] ^= 0xFF;
     fix_header_crc(img);
+    expect_rejected(img, StatusCode::kDataLoss, "doctored fingerprint");
     serve::StreamEngine fresh({.threads = 1});
-    const Status s = fresh.restore(img);
-    ASSERT_FALSE(s.is_ok());
-    EXPECT_EQ(s.code(), StatusCode::kDataLoss);
-    EXPECT_EQ(s.message(), "snapshot fingerprint mismatch");
+    EXPECT_EQ(fresh.restore(img).message(), "snapshot fingerprint mismatch");
+  }
+  // A well-framed image whose finished result carries an out-of-range status
+  // code -> kDataLoss from the result decoder.
+  {
+    core::ckpt::SnapshotBuilder builder;
+    core::ckpt::Writer policy;
+    policy.u64(8);    // max_streams
+    policy.u64(64);   // queue_capacity
+    policy.b(true);   // lean_records
+    policy.b(false);  // per_step_obs
+    policy.b(true);   // share_deadline_estimators
+    core::ckpt::Writer& meta = builder.section(serve::kSectionEngineMeta);
+    for (int k = 0; k < 5; ++k) meta.u64(1);  // next_id .. streams_rejected
+    meta.bytes(policy.data().data(), policy.size());
+    core::ckpt::Writer& finished = builder.section(serve::kSectionFinished);
+    finished.u64(1);  // one result
+    finished.u64(0);  // its id
+    finished.u8(0xEE);
+    const std::vector<std::uint8_t> img =
+        builder.finish(core::ckpt::fnv1a64(policy.data().data(), policy.size()));
+    expect_rejected(img, StatusCode::kDataLoss, "bad finished status code");
   }
   // Restore demands an empty engine.
   {
@@ -234,6 +258,7 @@ TEST(EngineCheckpoint, CorruptSnapshotsRejectedTyped) {
   {
     serve::StreamEngine fresh({.threads = 1});
     EXPECT_TRUE(fresh.restore(good).is_ok());
+    EXPECT_TRUE(serve::describe_snapshot(good).is_ok());
   }
 }
 

@@ -133,6 +133,22 @@ TEST(Cli, ReachTableChecksAgainstItsOwnCaseOnly) {
   EXPECT_FALSE(fs::exists(coarse)) << "an all-zero table was written";
 }
 
+TEST(Cli, ReachCheckRejectsAnAllZeroTable) {
+  // Written through the library, since `awd reach build` refuses it: two
+  // cells per dimension leave every dc_motor deadline 0.
+  SimulatorCase scase = simulator_case("dc_motor");
+  scase.reach_backend = BackendKind::kTable;
+  scase.reach_table_cells = 2;
+  const Result<DeadlineTable> table = build_table(make_backend_spec(scase, 0.0, 0));
+  ASSERT_TRUE(table.is_ok()) << table.status().message();
+  for (const std::uint16_t d : table.value().deadlines) ASSERT_EQ(d, 0u);
+  const TempDir dir;
+  const std::string coarse = dir.file("coarse.tbl");
+  ASSERT_TRUE(core::ckpt::write_file(coarse, encode_table(table.value())).is_ok());
+  EXPECT_EQ(awd_exit({"reach", "info", coarse}), 0);
+  EXPECT_EQ(awd_exit({"reach", "check", "dc_motor", coarse, "--cells", "2"}), 1);
+}
+
 TEST(Cli, ForensicsReplaysADump) {
   const TempDir dir;
   StreamEngine engine({.threads = 1, .flight_recorder_depth = 32});

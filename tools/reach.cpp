@@ -14,8 +14,8 @@
 // the file was precomputed for exactly that configuration — the operator
 // form of the load-time rejection TableBackend enforces.
 //
-// Exit codes: 0 success, 1 invalid/mismatched table or a built table whose
-// every deadline is 0, 2 usage, unknown case or I/O error.
+// Exit codes: 0 success, 1 invalid/mismatched table (a table whose every
+// deadline is 0 included), 2 usage, unknown case or I/O error.
 #include <algorithm>
 
 #include "cli.hpp"
@@ -83,26 +83,22 @@ int run_reach(const Args& args) {
   const ull fingerprint = spec_fingerprint(spec);
 
   if (command == "build") {
-    const Result<DeadlineTable> table = build_table(spec);
-    if (!table.is_ok()) fail("build", table.status());
-    // Each cell's walk is inflated by the cell's half-width; on a coarse
-    // grid that swallows the whole horizon and every deadline comes out 0,
-    // a table that would hold every stream at window 0.
-    const std::vector<std::uint16_t>& deadlines = table.value().deadlines;
-    if (std::all_of(deadlines.begin(), deadlines.end(), [](std::uint16_t d) { return d == 0; })) {
-      throw Exit{kFailed, "every deadline is 0: the grid is too coarse for the cell "
-                          "inflation (raise --cells)"};
-    }
-    if (Status s = core::ckpt::write_file(path, encode_table(table.value())); !s.is_ok()) {
+    // The factory builds the table and runs the load-time validation on it,
+    // so a table serving would refuse (say, every deadline 0) is never written.
+    const Result<std::unique_ptr<Backend>> backend = make_backend(spec);
+    if (!backend.is_ok()) fail("build", backend.status());
+    const DeadlineTable& table = static_cast<const TableBackend&>(*backend.value()).table();
+    if (Status s = core::ckpt::write_file(path, encode_table(table)); !s.is_ok()) {
       throw Exit{kUsage, path + ": " + describe(s)};
     }
     std::printf("wrote %s (spec %016llx)\n", path.c_str(), fingerprint);
-    print_table(table.value());
+    print_table(table);
     return kOk;
   }
 
   // check: decode the file and run the exact load-time validation serving
-  // would apply (fingerprint, grid shape, domain, deadline bounds).
+  // would apply (fingerprint, grid shape, domain, deadline bounds, not all
+  // zero).
   Result<DeadlineTable> table = decode_table(read_input(path));
   if (!table.is_ok()) {
     std::printf("FAIL %s: corrupt or malformed table\n", path.c_str());
@@ -111,7 +107,7 @@ int run_reach(const Args& args) {
   const Result<std::unique_ptr<Backend>> backend =
       make_table_backend(spec, std::move(table).value());
   if (!backend.is_ok()) {
-    std::printf("FAIL %s: table does not match case '%s'\n", path.c_str(), case_key.c_str());
+    std::printf("FAIL %s: table rejected for case '%s'\n", path.c_str(), case_key.c_str());
     fail(path, backend.status());
   }
   std::printf("PASS %s: matches case '%s' (spec %016llx)\n", path.c_str(), case_key.c_str(),
