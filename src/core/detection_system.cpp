@@ -208,8 +208,8 @@ void DetectionSystem::step_into(sim::StepRecord& rec) {
   rec.adaptive_alarm = ad.any_alarm();
   // Forensics scalars: the logged residual's L∞ norm (the logger's entry is
   // populated even under lean_records) and the current-step window test's
-  // normalized statistic max_d mean[d]/τ[d].  Scalar arithmetic only, so
-  // both replay bit-identically at any SIMD level.  The statistic covers
+  // normalized statistic max_d mean[d]/τ[d].  Plain scalar arithmetic, so
+  // both replay bit-identically.  The statistic covers
   // the current-step test; a complementary-sweep alarm can raise
   // adaptive_alarm with the statistic still <= 1.
   rec.residual_norm = logger_.entry(rec.t).residual.norm_inf();

@@ -90,7 +90,7 @@ const LogEntry& DataLogger::store(std::size_t t, const Vec& estimate, const Vec&
     const LogEntry& prev = slot(latest_);
     // x̃ = A x̄ + B u on the kernel panels — the same three kernels (and
     // the same per-row sum order) as DiscreteLti::step_into, so the
-    // prediction is bit-identical to the model path on every kernel set.
+    // prediction is bit-identical to the model path.
     e.predicted.assign(n, 0.0);
     predict_scratch_.assign(n, 0.0);
     linalg::kernels::gemv(a_panel_, prev.estimate.data(), e.predicted.data());

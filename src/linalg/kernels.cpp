@@ -1,15 +1,8 @@
-// kernels.cpp — scalar reference kernels and the level dispatch.
-//
-// The scalar set defines the semantics: every vector set must reproduce it
-// bit for bit (see kernels.hpp).  The dispatch is one atomic pointer to the
-// active Ops table, initialized from the build's best compiled set, the
-// executing CPU, and the AWD_SIMD environment variable.
+// kernels.cpp — the hot-path kernels and their batch views (see
+// kernels.hpp).
 #include "linalg/kernels.hpp"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "linalg/matrix.hpp"
@@ -24,187 +17,7 @@ constexpr std::size_t round_up(std::size_t n) noexcept {
   return (n + (kPad - 1)) & ~(kPad - 1);
 }
 
-// --- scalar reference set ---------------------------------------------------
-
-void gemv_scalar(const GemvPanel& a, const double* x, double* y) noexcept {
-  for (std::size_t i = 0; i < a.rows; ++i) {
-    double s = 0.0;
-    const double* col = a.data.data() + i;
-    for (std::size_t j = 0; j < a.cols; ++j) s += col[j * a.padded] * x[j];
-    y[i] = s;
-  }
-}
-
-void abs_diff_scalar(const double* a, const double* b, double* out,
-                     std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) out[i] = std::abs(a[i] - b[i]);
-}
-
-void add_assign_scalar(double* out, const double* a, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) out[i] += a[i];
-}
-
-void sub_assign_scalar(double* out, const double* a, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) out[i] -= a[i];
-}
-
-bool any_abs_exceeds_scalar(const double* z, const double* tau,
-                            std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (std::abs(z[i]) > tau[i]) return true;
-  }
-  return false;
-}
-
-std::size_t support_walk_scalar(const SupportTable& table, const double* x0,
-                                std::size_t cap, bool& resolved) noexcept {
-  for (std::size_t t = 1; t <= cap; ++t) {
-    const SupportTable::Step& st = table.steps[t - 1];
-    const double* rows = table.rows.data() + st.row_off;
-    const double* drift = table.drift.data() + st.scalar_off;
-    const double* spread = table.spread.data() + st.scalar_off;
-    const double* lo = table.lo.data() + st.scalar_off;
-    const double* hi = table.hi.data() + st.scalar_off;
-    for (std::size_t k = 0; k < st.count; ++k) {
-      double center = 0.0;
-      for (std::size_t j = 0; j < table.dim; ++j) {
-        center += rows[j * st.padded + k] * x0[j];
-      }
-      center += drift[k];
-      if (!(lo[k] <= center - spread[k] && center + spread[k] <= hi[k])) {
-        resolved = true;
-        return t;
-      }
-    }
-  }
-  resolved = false;
-  return cap;
-}
-
-constexpr Ops kScalarOps{gemv_scalar,       abs_diff_scalar,
-                         add_assign_scalar, sub_assign_scalar,
-                         any_abs_exceeds_scalar, support_walk_scalar,
-                         SimdLevel::kScalar};
-
 }  // namespace
-
-const Ops& scalar_ops() noexcept { return kScalarOps; }
-
-#if defined(AWD_SIMD_KERNELS_AVX2)
-// Defined in kernels_avx2.cpp (the one TU compiled with -mavx2).
-const Ops& avx2_ops() noexcept;
-#endif
-#if defined(AWD_SIMD_KERNELS_NEON)
-// Defined in kernels_neon.cpp.
-const Ops& neon_ops() noexcept;
-#endif
-
-namespace {
-
-SimdLevel detect_runtime_level() noexcept {
-#if defined(AWD_SIMD_KERNELS_AVX2) && (defined(__x86_64__) || defined(__i386__))
-  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-#endif
-#if defined(AWD_SIMD_KERNELS_NEON)
-  // AdvSIMD is architecturally mandatory on AArch64: compiled-in implies
-  // runnable.
-  return SimdLevel::kNeon;
-#endif
-  return SimdLevel::kScalar;
-}
-
-const Ops* ops_for(SimdLevel level) noexcept {
-  switch (level) {
-#if defined(AWD_SIMD_KERNELS_AVX2)
-    case SimdLevel::kAvx2:
-      return &avx2_ops();
-#endif
-#if defined(AWD_SIMD_KERNELS_NEON)
-    case SimdLevel::kNeon:
-      return &neon_ops();
-#endif
-    default:
-      return &kScalarOps;
-  }
-}
-
-/// Startup level: the CPU-clamped compiled level, overridable by AWD_SIMD
-/// in the environment ("off"/"scalar" force the reference set; "avx2" /
-/// "neon" request a set and fall back when unavailable; anything else —
-/// including "auto" — keeps the detected level).
-SimdLevel initial_level() noexcept {
-  SimdLevel level = detect_runtime_level();
-  const char* env = std::getenv("AWD_SIMD");
-  if (env != nullptr) {
-    if (std::strcmp(env, "off") == 0 || std::strcmp(env, "OFF") == 0 ||
-        std::strcmp(env, "scalar") == 0 || std::strcmp(env, "0") == 0) {
-      level = SimdLevel::kScalar;
-    } else if (std::strcmp(env, "avx2") == 0 || std::strcmp(env, "AVX2") == 0) {
-      if (level != SimdLevel::kAvx2) level = SimdLevel::kScalar;
-    } else if (std::strcmp(env, "neon") == 0 || std::strcmp(env, "NEON") == 0) {
-      if (level != SimdLevel::kNeon) level = SimdLevel::kScalar;
-    }
-  }
-  return level;
-}
-
-std::atomic<const Ops*>& active_ops() noexcept {
-  static std::atomic<const Ops*> active{ops_for(initial_level())};
-  return active;
-}
-
-}  // namespace
-
-const char* level_name(SimdLevel level) noexcept {
-  switch (level) {
-    case SimdLevel::kAvx2:
-      return "avx2";
-    case SimdLevel::kNeon:
-      return "neon";
-    default:
-      return "scalar";
-  }
-}
-
-SimdLevel compiled_level() noexcept {
-#if defined(AWD_SIMD_KERNELS_AVX2)
-  return SimdLevel::kAvx2;
-#elif defined(AWD_SIMD_KERNELS_NEON)
-  return SimdLevel::kNeon;
-#else
-  return SimdLevel::kScalar;
-#endif
-}
-
-SimdLevel runtime_level() noexcept {
-  static const SimdLevel level = detect_runtime_level();
-  return level;
-}
-
-SimdLevel active_level() noexcept {
-  return active_ops().load(std::memory_order_acquire)->level;
-}
-
-SimdLevel force_level(SimdLevel level) noexcept {
-  if (level != SimdLevel::kScalar && level != runtime_level()) {
-    // Requested set not runnable here: serve the best available one.
-    level = runtime_level();
-  }
-  const Ops* ops = ops_for(level);
-  active_ops().store(ops, std::memory_order_release);
-  return ops->level;
-}
-
-std::size_t lane_width(SimdLevel level) noexcept {
-  switch (level) {
-    case SimdLevel::kAvx2:
-      return 4;
-    case SimdLevel::kNeon:
-      return 2;
-    default:
-      return 1;
-  }
-}
 
 // --- batch views ------------------------------------------------------------
 
@@ -253,32 +66,59 @@ void SupportTable::push_step(const double* row_major_rows, const double* drifts,
   steps.push_back(st);
 }
 
-// --- dispatching entry points -----------------------------------------------
+// --- kernels ----------------------------------------------------------------
 
 void gemv(const GemvPanel& a, const double* x, double* y) noexcept {
-  active_ops().load(std::memory_order_acquire)->gemv(a, x, y);
+  for (std::size_t i = 0; i < a.rows; ++i) {
+    double s = 0.0;
+    const double* col = a.data.data() + i;
+    for (std::size_t j = 0; j < a.cols; ++j) s += col[j * a.padded] * x[j];
+    y[i] = s;
+  }
 }
 
 void abs_diff(const double* a, const double* b, double* out, std::size_t n) noexcept {
-  active_ops().load(std::memory_order_acquire)->abs_diff(a, b, out, n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = std::abs(a[i] - b[i]);
 }
 
 void add_assign(double* out, const double* a, std::size_t n) noexcept {
-  active_ops().load(std::memory_order_acquire)->add_assign(out, a, n);
+  for (std::size_t i = 0; i < n; ++i) out[i] += a[i];
 }
 
 void sub_assign(double* out, const double* a, std::size_t n) noexcept {
-  active_ops().load(std::memory_order_acquire)->sub_assign(out, a, n);
+  for (std::size_t i = 0; i < n; ++i) out[i] -= a[i];
 }
 
 bool any_abs_exceeds(const double* z, const double* tau, std::size_t n) noexcept {
-  return active_ops().load(std::memory_order_acquire)->any_abs_exceeds(z, tau, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::abs(z[i]) > tau[i]) return true;
+  }
+  return false;
 }
 
 std::size_t support_walk(const SupportTable& table, const double* x0,
                          std::size_t cap, bool& resolved) noexcept {
-  return active_ops().load(std::memory_order_acquire)
-      ->support_walk(table, x0, cap, resolved);
+  for (std::size_t t = 1; t <= cap; ++t) {
+    const SupportTable::Step& st = table.steps[t - 1];
+    const double* rows = table.rows.data() + st.row_off;
+    const double* drift = table.drift.data() + st.scalar_off;
+    const double* spread = table.spread.data() + st.scalar_off;
+    const double* lo = table.lo.data() + st.scalar_off;
+    const double* hi = table.hi.data() + st.scalar_off;
+    for (std::size_t k = 0; k < st.count; ++k) {
+      double center = 0.0;
+      for (std::size_t j = 0; j < table.dim; ++j) {
+        center += rows[j * st.padded + k] * x0[j];
+      }
+      center += drift[k];
+      if (!(lo[k] <= center - spread[k] && center + spread[k] <= hi[k])) {
+        resolved = true;
+        return t;
+      }
+    }
+  }
+  resolved = false;
+  return cap;
 }
 
 }  // namespace awd::linalg::kernels

@@ -1,28 +1,16 @@
-// kernels.hpp — vectorized hot-path kernels with runtime dispatch (§14).
+// kernels.hpp — the detector's hot-path kernels (DESIGN.md §14).
 //
 // The detector's per-step cost is a handful of tiny dense kernels: the
 // matvec behind every prediction (x̃ = A x̄ + B u), the |z| residual, the
 // window-mean accumulation, the τ threshold test, and the deadline
 // estimator's box support-function walk.  This header is their single
-// implementation point: a scalar reference set plus optional AVX2/NEON sets
-// selected by the AWD_SIMD CMake knob and, within one binary, by runtime
-// CPU detection.
+// implementation point: one scalar set, called directly.  On plants with
+// 1–12 states a vector unit buys nothing measurable end to end (DESIGN.md
+// §14 has the numbers).
 //
-// Bit-identity contract.  Every vector kernel performs the *exact scalar
-// operation sequence per output lane* — lanes run across independent
-// outputs (matvec rows, support checks, vector elements), never across a
-// reduction, and fused multiply-add is never used (an FMA's single
-// rounding would diverge from the scalar mul-then-add).  SIMD results are
-// therefore bit-identical to the scalar set, including NaN/Inf
-// propagation, which is what keeps checkpoint images byte-identical across
-// AWD_SIMD=OFF and AWD_SIMD=AVX2 builds (the prop tier enforces this; the
-// documented ULP bound is 0).
-//
-// The dispatch is a process-global function-pointer table.  force_level()
-// exists so one binary can run both paths back to back — the scalar↔SIMD
-// differential tests and the bench speedup counters depend on it.  The
-// AWD_SIMD environment variable ("off"/"scalar", "avx2", "neon", "auto")
-// forces the initial level the same way for whole-process experiments.
+// Every kernel keeps the scalar operation order documented below (row sums
+// in ascending column order, mul then add, never fused), which is what the
+// committed trace, checkpoint and dump pins were produced with.
 #pragma once
 
 #include <cstddef>
@@ -35,49 +23,32 @@ class Matrix;
 
 namespace kernels {
 
-/// Which kernel set is in play.  Order is "capability": higher enum values
-/// are wider vector units.
-enum class SimdLevel : std::uint8_t { kScalar = 0, kNeon = 1, kAvx2 = 2 };
+/// The kernel set in play.  There is only the scalar one; this stub and the
+/// three functions below remain because perfbench's host record reports
+/// them (its simd_active/simd_compiled fields read "scalar").
+enum class SimdLevel : std::uint8_t { kScalar = 0 };
 
-/// Human-readable level name ("scalar", "neon", "avx2").
-[[nodiscard]] const char* level_name(SimdLevel level) noexcept;
+/// Human-readable level name: always "scalar".
+[[nodiscard]] constexpr const char* level_name(SimdLevel) noexcept { return "scalar"; }
 
-/// Best kernel set compiled into this binary (the AWD_SIMD build knob).
-[[nodiscard]] SimdLevel compiled_level() noexcept;
+/// Kernel set compiled into this binary: always kScalar.
+[[nodiscard]] constexpr SimdLevel compiled_level() noexcept { return SimdLevel::kScalar; }
 
-/// compiled_level() clamped to what the executing CPU supports — an AVX2
-/// build running on a pre-AVX2 core silently serves the scalar set.
-[[nodiscard]] SimdLevel runtime_level() noexcept;
-
-/// The level the dispatch currently serves (runtime_level() unless forced).
-[[nodiscard]] SimdLevel active_level() noexcept;
-
-/// Pin the dispatch to `level`, clamped to runtime_level() — requesting an
-/// unavailable set falls back to the best available one, and kScalar is
-/// always honored.  Returns the level actually installed.  Thread-safe but
-/// process-global: intended for tests, benchmarks, and startup config, not
-/// for flipping mid-flight next to concurrent steppers.
-SimdLevel force_level(SimdLevel level) noexcept;
-
-/// Lane width (doubles per vector register) of a level: 1 / 2 / 4.
-[[nodiscard]] std::size_t lane_width(SimdLevel level) noexcept;
+/// Kernel set the kernels run: always kScalar.
+[[nodiscard]] constexpr SimdLevel active_level() noexcept { return SimdLevel::kScalar; }
 
 // --- batch views ------------------------------------------------------------
 
-/// Column-major, row-padded copy of a row-major Matrix — the layout the
-/// vector matvec wants: lane k of column j holds A(i0+k, j), so one vector
-/// load feeds `lane` consecutive output rows with the same x[j] broadcast.
-/// Rows are padded to the widest lane width with zeros; padded lanes are
-/// computed and discarded, never stored.  Panels are derived data (rebuilt
-/// from the Matrix on assign), never checkpointed.
+/// Column-major, row-padded copy of a row-major Matrix: column j holds
+/// A(0..rows-1, j) followed by zero padding up to `padded`.  Panels are
+/// derived data (rebuilt from the Matrix on assign), never checkpointed.
 struct GemvPanel {
   std::size_t rows = 0;    ///< output dimension
   std::size_t cols = 0;    ///< input dimension
   std::size_t padded = 0;  ///< rows rounded up to kPanelPad
   std::vector<double> data;  ///< data[j * padded + i] = A(i, j)
 
-  /// Widest lane width any kernel set uses; fixed across build flavors so
-  /// panel geometry never depends on the AWD_SIMD setting.
+  /// Row padding of every panel and support-table step.
   static constexpr std::size_t kPanelPad = 4;
 
   /// (Re)build from a row-major matrix, reusing the buffer when possible.
@@ -91,10 +62,9 @@ struct GemvPanel {
 /// box at step t stays inside [lo, hi] iff
 ///   lo <= center - spread  &&  center + spread <= hi,
 /// with center = row·x0 + drift.  Rows are stored column-major per step
-/// (rows[row_off + j * padded + k] = row k's j-th coefficient) so the walk
-/// evaluates `lane` checks per vector op.  Padded lanes hold row 0, drift
-/// 0, spread 0, lo -inf, hi +inf — they always pass and can never resolve
-/// the walk.
+/// (rows[row_off + j * padded + k] = row k's j-th coefficient).  Padded
+/// lanes hold row 0, drift 0, spread 0, lo -inf, hi +inf — they always pass
+/// and can never resolve the walk.
 struct SupportTable {
   struct Step {
     std::size_t count = 0;       ///< live checks at this reach step
@@ -120,7 +90,7 @@ struct SupportTable {
                  std::size_t count);
 };
 
-// --- kernels (dispatch through the active level) ----------------------------
+// --- kernels ----------------------------------------------------------------
 
 /// y = A x over a panel: y[i] = Σ_j A(i,j) x[j], accumulating j in
 /// ascending order per row — the exact Matrix::mul_into sum order.  `x` has
@@ -132,15 +102,14 @@ void gemv(const GemvPanel& a, const double* x, double* y) noexcept;
 /// `a` or `b`.
 void abs_diff(const double* a, const double* b, double* out, std::size_t n) noexcept;
 
-/// out[i] += a[i] — window-mean accumulation.  `out` may alias `a` (each
-/// lane doubles, exactly as the scalar loop would).
+/// out[i] += a[i] — window-mean accumulation.  `out` may alias `a`.
 void add_assign(double* out, const double* a, std::size_t n) noexcept;
 
 /// out[i] -= a[i].  `out` may alias `a`.
 void sub_assign(double* out, const double* a, std::size_t n) noexcept;
 
 /// True iff any |z[i]| > tau[i] — the §4.1 per-dimension alarm test.  NaN
-/// never exceeds (ordered compare), matching the scalar `std::abs(z) > tau`.
+/// never exceeds (ordered compare).
 [[nodiscard]] bool any_abs_exceeds(const double* z, const double* tau,
                                    std::size_t n) noexcept;
 
@@ -150,24 +119,6 @@ void sub_assign(double* out, const double* a, std::size_t n) noexcept;
 /// x0 has table.dim elements.
 std::size_t support_walk(const SupportTable& table, const double* x0,
                          std::size_t cap, bool& resolved) noexcept;
-
-// --- kernel set plumbing (one table per level) ------------------------------
-
-/// One level's kernel set.  The scalar set is the semantics reference;
-/// vector sets must be lane-for-lane bit-identical to it.
-struct Ops {
-  void (*gemv)(const GemvPanel&, const double*, double*) noexcept;
-  void (*abs_diff)(const double*, const double*, double*, std::size_t) noexcept;
-  void (*add_assign)(double*, const double*, std::size_t) noexcept;
-  void (*sub_assign)(double*, const double*, std::size_t) noexcept;
-  bool (*any_abs_exceeds)(const double*, const double*, std::size_t) noexcept;
-  std::size_t (*support_walk)(const SupportTable&, const double*, std::size_t,
-                              bool&) noexcept;
-  SimdLevel level;
-};
-
-/// The reference set (always compiled).
-[[nodiscard]] const Ops& scalar_ops() noexcept;
 
 }  // namespace kernels
 }  // namespace awd::linalg

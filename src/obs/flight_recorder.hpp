@@ -16,7 +16,7 @@
 // the core::ckpt codec into .awdfr images, and `awd forensics` replays
 // a dump through a fresh DetectionSystem and compares frames *bitwise*
 // (doubles as IEEE-754 bit patterns) — the determinism contract makes that
-// comparison exact at any thread count or AWD_SIMD level.
+// comparison exact at any thread count.
 #pragma once
 
 #include <cstddef>

@@ -63,7 +63,7 @@ linalg::kernels::SupportTable BoxBackend::widened_table(
   // SupportTable, dropping dimensions the safe set leaves unconstrained
   // (they can never fail).  Unwidened, the checks replicate the reach_box
   // arithmetic exactly, so the cached walk is bit-identical to the uncached
-  // recursion on every kernel set.
+  // recursion.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t n = dim_;
   linalg::kernels::SupportTable out;

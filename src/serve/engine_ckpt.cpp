@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -296,7 +298,7 @@ core::Result<std::vector<std::uint8_t>> StreamEngine::checkpoint() const {
     rt.metrics.serialize(state);
     // The SoA is a runtime layout only: the stream section serializes the
     // same scalar sequence as ever, so images are byte-identical to the
-    // pre-SoA (and cross-AWD_SIMD) encodings.
+    // pre-SoA encoding.
     state.u64(shard.soa.deadline[slot]);
     state.u64(shard.soa.window[slot]);
     state.b(shard.soa.adaptive_alarm[slot] != 0);
@@ -354,28 +356,26 @@ core::Status StreamEngine::restore(const std::vector<std::uint8_t>& bytes) {
                         "restore requires an empty engine (drain or use a fresh one)"};
   }
 
+  // Everything is decoded and built into locals; the engine is touched only
+  // once the whole image, fingerprint included, has checked out.
   EngineMeta meta;
   meta.policy = options_;  // threads survives; policy fields are overwritten
+  EstimatorCache cache = estimator_cache_;
+  std::vector<std::pair<std::unique_ptr<StreamRuntime>, StreamLanes>> streams;
+  std::deque<std::pair<StreamId, StreamSpec>> pending;
+  std::unordered_map<StreamId, StreamResult> finished;
   const core::Status walked = walk_snapshot(bytes, meta, {
-      .meta =
-          [&](const ckpt::SnapshotView&, const EngineMeta& read) {
-            meta = read;
-            // Adopt the snapshot's serving policy before rebuilding streams —
-            // the per-stream options derived below must match what the
-            // checkpointing engine ran with, or detection outputs diverge.
-            options_ = meta.policy;
-            next_shard_ = 0;
-          },
+      .meta = [&](const ckpt::SnapshotView&, const EngineMeta& read) { meta = read; },
       .stream =
           [&](SnapshotStream& stream) {
             StreamSpec& spec = stream.spec;
             ckpt::Reader& state = stream.state;
             if (core::Status s = spec.scase.check(); !s.is_ok()) return s;
-            core::DetectionSystemOptions opts = effective_options_(spec);
-            const bool want_shared = options_.share_deadline_estimators &&
-                                     !spec.options.shared_deadline_estimator;
-            core::Result<core::DetectionSystem> created = core::DetectionSystem::create(
-                spec.scase, spec.attack, spec.seed, std::move(opts));
+            // The snapshot's serving policy, not this engine's: the
+            // per-stream options must match what the checkpointing engine
+            // ran with, or detection outputs diverge.
+            core::Result<core::DetectionSystem> created =
+                build_system_(meta.policy, cache, spec);
             if (!created.is_ok()) return created.status();
             core::DetectionSystem system = std::move(created).value();
             if (core::Status s = system.deserialize(state); !s.is_ok()) return s;
@@ -398,36 +398,33 @@ core::Status StreamEngine::restore(const std::vector<std::uint8_t>& bytes) {
                                   "snapshot stream progress exceeds its run length"};
             }
 
-            // Publish the (possibly fresh) estimator to the family cache so
-            // the remaining streams of this family share it, mirroring
-            // admission.
-            if (want_shared) {
-              const std::string key = family_fingerprint(spec.scase, spec.options);
-              if (estimator_cache_.find(key) == estimator_cache_.end()) {
-                estimator_cache_.emplace(key, system.estimator_handle());
-              }
-            }
-
-            auto runtime = std::make_unique<StreamRuntime>(
-                stream.id, std::move(spec), std::move(system), std::move(metrics));
-            const auto [shard_index, slot] = place_runtime_(std::move(runtime));
-            StreamSoa& soa = shards_[shard_index].soa;
-            soa.steps_done[slot] = static_cast<std::size_t>(stream.steps_done);
-            soa.deadline[slot] = static_cast<std::size_t>(deadline);
-            soa.window[slot] = static_cast<std::size_t>(window);
-            soa.adaptive_alarm[slot] = adaptive_alarm ? 1 : 0;
-            soa.fixed_alarm[slot] = fixed_alarm ? 1 : 0;
-            soa.health[slot] = static_cast<std::uint8_t>(health);
+            const StreamLanes lanes{
+                .steps_done = static_cast<std::size_t>(stream.steps_done),
+                .deadline = static_cast<std::size_t>(deadline),
+                .window = static_cast<std::size_t>(window),
+                .adaptive_alarm = adaptive_alarm,
+                .fixed_alarm = fixed_alarm,
+                .health = static_cast<std::uint8_t>(health)};
+            streams.emplace_back(
+                std::make_unique<StreamRuntime>(stream.id, std::move(spec),
+                                                std::move(system), std::move(metrics)),
+                lanes);
             return core::Status::ok();
           },
       .pending =
           [&](std::uint64_t id, StreamSpec&& spec) {
-            pending_.emplace_back(id, std::move(spec));
+            pending.emplace_back(id, std::move(spec));
           },
-      .finished = [&](StreamResult&& res) { finished_.emplace(res.id, std::move(res)); },
+      .finished = [&](StreamResult&& res) { finished.emplace(res.id, std::move(res)); },
   });
   if (!walked.is_ok()) return walked;
 
+  options_ = meta.policy;
+  estimator_cache_ = std::move(cache);
+  next_shard_ = 0;
+  for (auto& [runtime, lanes] : streams) place_runtime_(std::move(runtime), lanes);
+  pending_ = std::move(pending);
+  finished_ = std::move(finished);
   next_id_ = meta.next_id;
   steps_total_ = meta.steps_total;
   streams_admitted_ = meta.streams_admitted;
@@ -442,13 +439,28 @@ core::Status StreamEngine::restore(const std::vector<std::uint8_t>& bytes) {
 // --- rebalance -------------------------------------------------------------
 
 core::Status StreamEngine::rebalance(std::size_t new_shards) {
-  core::Result<std::vector<std::uint8_t>> snap = checkpoint();
-  if (!snap.is_ok()) return snap.status();
+  // Lift every live runtime out with the lanes a checkpoint would carry,
+  // then place them in id order — the order restore places an image's
+  // streams in, so the new layout is the one a checkpoint round trip built.
+  std::vector<std::pair<std::unique_ptr<StreamRuntime>, StreamLanes>> live;
+  live.reserve(running_.size());
+  for (Shard& shard : shards_) {
+    const StreamSoa& soa = shard.soa;
+    for (std::size_t slot = 0; slot < shard.slots.size(); ++slot) {
+      if (!shard.slots[slot]) continue;
+      live.emplace_back(std::move(shard.slots[slot]),
+                        StreamLanes{.steps_done = soa.steps_done[slot],
+                                    .deadline = soa.deadline[slot],
+                                    .window = soa.window[slot],
+                                    .adaptive_alarm = soa.adaptive_alarm[slot],
+                                    .fixed_alarm = soa.fixed_alarm[slot],
+                                    .health = soa.health[slot]});
+    }
+  }
+  std::sort(live.begin(), live.end(),
+            [](const auto& a, const auto& b) { return a.first->id < b.first->id; });
 
   running_.clear();
-  pending_.clear();
-  finished_.clear();
-  estimator_cache_.clear();
   shards_.clear();
   pool_.reset();
   options_.threads = new_shards;
@@ -456,8 +468,8 @@ core::Status StreamEngine::rebalance(std::size_t new_shards) {
   if (threads > 1) pool_ = std::make_unique<core::ThreadPool>(threads);
   shards_.resize(threads);
   next_shard_ = 0;
-
-  return restore(snap.value());
+  for (auto& [runtime, lanes] : live) place_runtime_(std::move(runtime), lanes);
+  return core::Status::ok();
 }
 
 // --- inspection ------------------------------------------------------------

@@ -20,10 +20,10 @@
 // replay_dump() is the faithfulness proof: it rebuilds a standalone
 // DetectionSystem from the spec, re-runs it to the dump's progress point,
 // and compares every captured frame *bitwise* against the replayed steps.
-// The pipeline is deterministic by construction (seeded RNG, scalar
-// reductions, ULP-0 kernel contract), so verification demands exact
-// equality — at any thread count and any AWD_SIMD level — and any
-// difference means the dump (or the detector) is lying.
+// The pipeline is deterministic by construction (seeded RNG, fixed-order
+// scalar reductions), so verification demands exact equality — at any
+// thread count — and any difference means the dump (or the detector) is
+// lying.
 #pragma once
 
 #include <cstdint>

@@ -146,46 +146,45 @@ core::Result<StreamId> StreamEngine::submit(StreamSpec spec) {
   return id;
 }
 
-core::DetectionSystemOptions StreamEngine::effective_options_(const StreamSpec& spec) {
+core::Result<core::DetectionSystem> StreamEngine::build_system_(
+    const StreamEngineOptions& policy, EstimatorCache& cache, const StreamSpec& spec) {
   core::DetectionSystemOptions opts = spec.options;  // spec is retained whole
-  opts.lean_records = options_.lean_records;
-  opts.per_step_obs = options_.per_step_obs;
-  if (options_.share_deadline_estimators && !opts.shared_deadline_estimator) {
-    const std::string fingerprint = family_fingerprint(spec.scase, opts);
-    if (auto it = estimator_cache_.find(fingerprint); it != estimator_cache_.end()) {
+  opts.lean_records = policy.lean_records;
+  opts.per_step_obs = policy.per_step_obs;
+  const bool share = policy.share_deadline_estimators && !opts.shared_deadline_estimator;
+  std::string fingerprint;
+  if (share) {
+    fingerprint = family_fingerprint(spec.scase, opts);
+    if (auto it = cache.find(fingerprint); it != cache.end()) {
       opts.shared_deadline_estimator = it->second;
     }
   }
-  return opts;
+  core::Result<core::DetectionSystem> system =
+      core::DetectionSystem::create(spec.scase, spec.attack, spec.seed, std::move(opts));
+  if (share && system.is_ok() && cache.find(fingerprint) == cache.end()) {
+    cache.emplace(std::move(fingerprint), system.value().estimator_handle());
+  }
+  return system;
 }
 
 core::Status StreamEngine::admit_(StreamId id, StreamSpec&& spec) {
-  core::DetectionSystemOptions opts = effective_options_(spec);
-  const bool want_shared =
-      options_.share_deadline_estimators && !spec.options.shared_deadline_estimator;
-
   core::Result<core::DetectionSystem> system =
-      core::DetectionSystem::create(spec.scase, spec.attack, spec.seed, std::move(opts));
+      build_system_(options_, estimator_cache_, spec);
   if (!system.is_ok()) return system.status();
-  if (want_shared) {
-    std::string fingerprint = family_fingerprint(spec.scase, spec.options);
-    if (estimator_cache_.find(fingerprint) == estimator_cache_.end()) {
-      estimator_cache_.emplace(std::move(fingerprint),
-                               system.value().estimator_handle());
-    }
-  }
 
   core::StreamingMetrics metrics(spec.scase.attack_start, spec.scase.attack_duration,
                                  spec.metrics);
-  place_runtime_(std::make_unique<StreamRuntime>(
-      id, std::move(spec), std::move(system).value(), std::move(metrics)));
+  place_runtime_(std::make_unique<StreamRuntime>(id, std::move(spec),
+                                                 std::move(system).value(),
+                                                 std::move(metrics)),
+                 StreamLanes{});
   ++streams_admitted_;
   ServeObs::get().admitted.inc();
   return core::Status::ok();
 }
 
-std::pair<std::size_t, std::size_t> StreamEngine::place_runtime_(
-    std::unique_ptr<StreamRuntime> runtime) {
+void StreamEngine::place_runtime_(std::unique_ptr<StreamRuntime> runtime,
+                                  const StreamLanes& lanes) {
   const StreamId id = runtime->id;
   const std::size_t steps_total = runtime->spec.steps;
   const std::size_t shard_index = next_shard_++ % shards_.size();
@@ -203,12 +202,12 @@ std::pair<std::size_t, std::size_t> StreamEngine::place_runtime_(
   // occupant's progress or outputs.
   shard.soa.ensure(slot);
   shard.soa.steps_total[slot] = steps_total;
-  shard.soa.steps_done[slot] = 0;
-  shard.soa.deadline[slot] = 0;
-  shard.soa.window[slot] = 0;
-  shard.soa.adaptive_alarm[slot] = 0;
-  shard.soa.fixed_alarm[slot] = 0;
-  shard.soa.health[slot] = static_cast<std::uint8_t>(fault::HealthState::kNominal);
+  shard.soa.steps_done[slot] = lanes.steps_done;
+  shard.soa.deadline[slot] = lanes.deadline;
+  shard.soa.window[slot] = lanes.window;
+  shard.soa.adaptive_alarm[slot] = lanes.adaptive_alarm;
+  shard.soa.fixed_alarm[slot] = lanes.fixed_alarm;
+  shard.soa.health[slot] = lanes.health;
   shard.soa.quarantined[slot] = 0;
   if (options_.flight_recorder_depth > 0) {
     if (shard.recorders.size() < shard.slots.size()) {
@@ -222,7 +221,6 @@ std::pair<std::size_t, std::size_t> StreamEngine::place_runtime_(
     }
   }
   running_.emplace(id, std::make_pair(shard_index, slot));
-  return {shard_index, slot};
 }
 
 void StreamEngine::admit_pending_() {

@@ -275,17 +275,21 @@ class StreamEngine {
   /// The engine must be empty (nothing running, queued or undrained) —
   /// kInvalidInput otherwise.  Corrupted, truncated or version-mismatched
   /// images come back as typed errors (kDataLoss / kUnimplemented) from the
-  /// codec's validation; on any error the engine's state is unspecified and
-  /// the instance should be discarded.  Engine serving policy (max_streams,
-  /// queue capacity, lean_records, per_step_obs, estimator sharing) is
-  /// adopted from the snapshot so detection outputs stay bit-identical;
-  /// the thread/shard count stays whatever this engine was built with.
+  /// codec's validation.  Restore is atomic: the whole image, fingerprint
+  /// included, is decoded and every stream's pipeline built before the
+  /// engine changes, so on any error the engine is exactly as it was and
+  /// can take another restore.  Engine serving policy (max_streams, queue
+  /// capacity, lean_records, per_step_obs, estimator sharing) is adopted
+  /// from the snapshot so detection outputs stay bit-identical; the
+  /// thread/shard count stays whatever this engine was built with.
   [[nodiscard]] core::Status restore(const std::vector<std::uint8_t>& bytes);
 
-  /// Elastic resharding: checkpoint, tear the worker pool and shards down,
-  /// rebuild them `new_shards` wide (0 = auto), and restore in place.
+  /// Elastic resharding: tear the worker pool and shards down, rebuild them
+  /// `new_shards` wide (0 = auto), and move every live stream, in id order,
+  /// into the new layout with its progress and last outputs.  Queued and
+  /// finished streams, counters and the estimator cache are untouched.
   /// Every stream resumes exactly where it was; results are bit-identical
-  /// to never having resharded.
+  /// to never having resharded.  Always returns OK.
   [[nodiscard]] core::Status rebalance(std::size_t new_shards);
 
  private:
@@ -372,6 +376,22 @@ class StreamEngine {
     std::size_t stepped = 0;            ///< stream-steps executed this batch
   };
 
+  /// The per-stream SoA lanes a checkpoint carries and a placement seeds
+  /// (steps_total comes from the spec; the quarantine flag is runtime-only
+  /// and always starts clear).  The defaults are a fresh stream's.
+  struct StreamLanes {
+    std::size_t steps_done = 0;
+    std::size_t deadline = 0;
+    std::size_t window = 0;
+    std::uint8_t adaptive_alarm = 0;
+    std::uint8_t fixed_alarm = 0;
+    std::uint8_t health = static_cast<std::uint8_t>(fault::HealthState::kNominal);
+  };
+
+  /// Plant-family fingerprint → shared deadline backend.
+  using EstimatorCache =
+      std::unordered_map<std::string, std::shared_ptr<const reach::Backend>>;
+
   /// Cache key for deadline-backend sharing: the case key plus the hex
   /// reach::spec_fingerprint of the case's derived BackendSpec — everything
   /// backend construction reads (model, input range, eps, safe set, deadline
@@ -381,19 +401,22 @@ class StreamEngine {
   [[nodiscard]] static std::string family_fingerprint(
       const core::SimulatorCase& scase, const core::DetectionSystemOptions& options);
 
+  /// Build a spec's pipeline under serving policy `policy`: the policy's
+  /// lean_records/per_step_obs applied, and (when it shares estimators and
+  /// the spec brings none) the family's deadline backend taken from
+  /// `cache`, or published to it by the first stream of the family.
+  /// Admission passes the engine's own policy and cache; restore passes the
+  /// snapshot's policy and a scratch cache it commits only on success.
+  [[nodiscard]] static core::Result<core::DetectionSystem> build_system_(
+      const StreamEngineOptions& policy, EstimatorCache& cache, const StreamSpec& spec);
+
   void admit_pending_();
   core::Status admit_(StreamId id, StreamSpec&& spec);
   /// Round-robin a runtime into the next shard's free slot, seed its SoA
-  /// lanes (progress zeroed, outputs nominal), and index it in running_ —
-  /// shared by admission and restore (which must not touch the admission
-  /// counters).  Returns the (shard, slot) location so restore can overwrite
-  /// the SoA lanes with the snapshot's progress and last outputs.
-  std::pair<std::size_t, std::size_t> place_runtime_(
-      std::unique_ptr<StreamRuntime> runtime);
-  /// Build the effective DetectionSystemOptions for a spec: engine serving
-  /// policy applied, shared deadline estimator filled from (and published
-  /// to) the per-family cache.
-  [[nodiscard]] core::DetectionSystemOptions effective_options_(const StreamSpec& spec);
+  /// lanes from `lanes`, give it a clear flight recorder, and index it in
+  /// running_ — shared by admission, restore and rebalance (the latter two
+  /// must not touch the admission counters).
+  void place_runtime_(std::unique_ptr<StreamRuntime> runtime, const StreamLanes& lanes);
   std::size_t step_batch_(std::size_t budget);
   void step_shard_(Shard& shard, std::size_t budget);
   void finalize_finished_();
@@ -416,8 +439,7 @@ class StreamEngine {
   std::unordered_map<StreamId, std::pair<std::size_t, std::size_t>>
       running_;  ///< id → (shard, slot)
   std::unordered_map<StreamId, StreamResult> finished_;
-  std::unordered_map<std::string, std::shared_ptr<const reach::Backend>>
-      estimator_cache_;  ///< plant-family fingerprint → shared deadline backend
+  EstimatorCache estimator_cache_;
   StreamId next_id_ = 1;
   std::size_t next_shard_ = 0;  ///< round-robin admission cursor
   std::uint64_t steps_total_ = 0;

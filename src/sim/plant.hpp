@@ -38,7 +38,7 @@ class Plant {
 
   /// Noise-free one-step prediction A x + B u on the plant's kernel panels
   /// — the same kernels (and sum order) as DiscreteLti::step_into, so the
-  /// result is bit-identical to model().step_into on every kernel set.
+  /// result is bit-identical to model().step_into.
   /// Used internally by step_into and by the simulator's record-prediction
   /// path.  `out` and `scratch` must not alias `x` or `u`.
   void predict_into(const Vec& x, const Vec& u, Vec& out, Vec& scratch) const;

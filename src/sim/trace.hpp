@@ -41,7 +41,7 @@ struct StepRecord {
   // Forensics scalars (populated by core::DetectionSystem).  Both are
   // derived from the logger/detector state — not the record-only residual
   // field — so they are valid under lean_records and, like every detection
-  // output, bit-identical at any AWD_SIMD level.
+  // output, bit-identical on replay.
   double residual_norm = 0.0;  ///< ‖z_t‖∞ of this step's logged residual
   double detect_stat = 0.0;    ///< max_d mean_residual[d]/τ[d] of the window test
                                ///< (> 1 exactly when the current-step test alarms)

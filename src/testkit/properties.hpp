@@ -28,7 +28,6 @@ PropertyResult serial_parallel_cell_identical(std::uint64_t seed, const GenLimit
 PropertyResult attack_free_fp_budget(std::uint64_t seed, const GenLimits& limits);
 PropertyResult replay_determinism(std::uint64_t seed, const GenLimits& limits);
 PropertyResult checkpoint_roundtrip(std::uint64_t seed, const GenLimits& limits);
-PropertyResult simd_scalar_differential(std::uint64_t seed, const GenLimits& limits);
 
 // properties_adversarial.cpp — auto-tuner + detector-aware attacks
 // (DESIGN.md §16).

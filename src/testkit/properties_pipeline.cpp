@@ -12,7 +12,6 @@
 #include "core/detection_system.hpp"
 #include "core/experiment.hpp"
 #include "core/metrics.hpp"
-#include "linalg/kernels.hpp"
 #include "testkit/properties.hpp"
 
 namespace awd::testkit::props {
@@ -234,95 +233,6 @@ PropertyResult checkpoint_roundtrip(std::uint64_t seed, const GenLimits& limits)
         "adaptive evaluation counts diverged after restore (k=" + std::to_string(k) +
         ": " + std::to_string(second.adaptive_evaluations()) + " vs " +
         std::to_string(reference.adaptive_evaluations()) + "); " + sc.describe());
-  }
-  return PropertyResult::pass();
-}
-
-PropertyResult simd_scalar_differential(std::uint64_t seed, const GenLimits& limits) {
-  namespace kn = linalg::kernels;
-  PropRng rng(seed);
-  Scenario sc = generate_scenario(rng, limits, {});
-  cap_steps(sc, 120);
-  core::DetectionSystemOptions options;
-  options.deadline_budget = sc.deadline_budget;
-
-  // Pin of the process-global dispatch, restored on every exit path.  On a
-  // host whose best set IS the scalar set the two runs collapse onto one
-  // code path and the property degenerates to replay determinism — the
-  // intended behavior for the simd-off CI leg.
-  const kn::SimdLevel best = kn::runtime_level();
-  const kn::SimdLevel prev = kn::active_level();
-  struct Restore {
-    kn::SimdLevel level;
-    ~Restore() { (void)kn::force_level(level); }
-  } restore{prev};
-
-  // Build AND run each pipeline entirely under its level: construction
-  // (deadline-term caches) and stepping must both be level-independent.
-  (void)kn::force_level(kn::SimdLevel::kScalar);
-  core::DetectionSystem scalar_system(sc.scase, sc.attack, sc.sim_seed, options);
-  const sim::Trace scalar_trace = scalar_system.run();
-  core::ckpt::Writer scalar_image;
-  scalar_system.serialize(scalar_image);
-
-  (void)kn::force_level(best);
-  core::DetectionSystem simd_system(sc.scase, sc.attack, sc.sim_seed, options);
-  const sim::Trace simd_trace = simd_system.run();
-  core::ckpt::Writer simd_image;
-  simd_system.serialize(simd_image);
-
-  if (scalar_trace.size() != simd_trace.size()) {
-    return PropertyResult::fail("scalar and " + std::string(kn::level_name(best)) +
-                                " trace lengths diverged; " + sc.describe());
-  }
-  for (std::size_t t = 0; t < scalar_trace.size(); ++t) {
-    if (!records_equal(scalar_trace[t], simd_trace[t])) {
-      return PropertyResult::fail(
-          "scalar and " + std::string(kn::level_name(best)) +
-          " pipelines diverged at t=" + std::to_string(t) +
-          " (ULP bound is 0: vector kernels must be bit-identical); " + sc.describe());
-    }
-  }
-  if (scalar_system.adaptive_evaluations() != simd_system.adaptive_evaluations()) {
-    return PropertyResult::fail("adaptive evaluation counts diverged across kernel sets; " +
-                                sc.describe());
-  }
-  // Checkpoint images are part of the contract: a restore on a build/host
-  // with a different kernel set must see byte-identical state.
-  if (scalar_image.data() != simd_image.data()) {
-    return PropertyResult::fail("checkpoint images diverged across kernel sets (" +
-                                std::to_string(scalar_image.size()) + " vs " +
-                                std::to_string(simd_image.size()) + " bytes); " +
-                                sc.describe());
-  }
-
-  // Cross-level restore: a scalar-produced image restored under the vector
-  // set (and vice versa) must continue bit-identically.
-  const std::size_t total = sc.scase.steps;
-  if (total >= 2) {
-    const std::size_t k = rng.range(1, total - 1);
-    (void)kn::force_level(kn::SimdLevel::kScalar);
-    core::DetectionSystem half(sc.scase, sc.attack, sc.sim_seed, options);
-    for (std::size_t t = 0; t < k; ++t) (void)half.step();
-    core::ckpt::Writer snap;
-    half.serialize(snap);
-
-    (void)kn::force_level(best);
-    core::DetectionSystem resumed(sc.scase, sc.attack, sc.sim_seed, options);
-    core::ckpt::Reader r(snap.data().data(), snap.size());
-    if (const core::Status s = resumed.deserialize(r); !s.is_ok()) {
-      return PropertyResult::fail("cross-level restore failed at k=" + std::to_string(k) +
-                                  ": " + std::string(s.message()) + "; " + sc.describe());
-    }
-    for (std::size_t t = k; t < total; ++t) {
-      const sim::StepRecord rec = resumed.step();
-      if (!records_equal(rec, scalar_trace[t])) {
-        return PropertyResult::fail(
-            "scalar checkpoint resumed under " + std::string(kn::level_name(best)) +
-            " diverged at t=" + std::to_string(t) + " (k=" + std::to_string(k) + "); " +
-            sc.describe());
-      }
-    }
   }
   return PropertyResult::pass();
 }

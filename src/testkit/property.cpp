@@ -62,12 +62,6 @@ const std::vector<Property>& property_catalogue() {
        "through the ckpt codec and restoring into a fresh pipeline continues "
        "the trace bitwise (states, residuals, deadlines, alarms, sweep count)",
        &props::checkpoint_roundtrip},
-      {"simd_scalar_differential", "DESIGN.md §14",
-       "the full pipeline run under the forced-scalar kernel set and under "
-       "the best runtime SIMD set produces bitwise-identical traces and "
-       "byte-identical checkpoint images, and a scalar-produced checkpoint "
-       "resumed under the SIMD set continues bitwise (ULP bound 0)",
-       &props::simd_scalar_differential},
       {"tuned_far_within_tolerance", "DESIGN.md §16",
        "the auto-tuner converges on random attack-free plants and its "
        "reported false-alarm rate lands inside the requested tolerance band",

@@ -4,7 +4,8 @@
 // shard count, continue — and every drained stream must be bitwise equal to
 // the uninterrupted run.  Plus the failure modes: corrupt, truncated and
 // version-mismatched snapshots come back as typed Status errors; restore
-// demands an empty engine; and the image bytes of a fixed run are pinned.
+// demands an empty engine and leaves it untouched when it rejects an image;
+// and the image bytes of a fixed run are pinned.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -114,8 +115,9 @@ TEST(EngineCheckpoint, ElasticReshardDifferential) {
   }
 }
 
-// rebalance() = checkpoint + teardown + restore in place: resharding a live
-// engine mid-attack must not perturb any stream.
+// rebalance() moves every live stream into a new shard layout in place:
+// resharding a live engine mid-attack must not perturb any stream, and the
+// engine's checkpoint image (which carries no layout) must not change.
 TEST(EngineCheckpoint, RebalanceMidRunBitIdentical) {
   serve::StreamEngine reference({.threads = 1});
   const std::vector<serve::StreamId> ids = submit_matrix(reference);
@@ -124,7 +126,10 @@ TEST(EngineCheckpoint, RebalanceMidRunBitIdentical) {
   serve::StreamEngine engine({.threads = 1, .max_streams = 32});
   ASSERT_EQ(submit_matrix(engine), ids);
   for (int k = 0; k < 25; ++k) engine.step_all();
+  const std::vector<std::uint8_t> before = engine.checkpoint().value();
   ASSERT_TRUE(engine.rebalance(4).is_ok());
+  EXPECT_EQ(engine.shards(), 4u);
+  EXPECT_EQ(engine.checkpoint().value(), before);
   for (int k = 0; k < 25; ++k) engine.step_all();
   ASSERT_TRUE(engine.rebalance(2).is_ok());
   engine.run_to_completion();
@@ -259,6 +264,47 @@ TEST(EngineCheckpoint, CorruptSnapshotsRejectedTyped) {
     serve::StreamEngine fresh({.threads = 1});
     EXPECT_TRUE(fresh.restore(good).is_ok());
     EXPECT_TRUE(serve::describe_snapshot(good).is_ok());
+  }
+}
+
+// restore is atomic: an image rejected at the very end of the walk (its
+// fingerprint) leaves the engine exactly as it was — empty, with a fresh
+// engine's checkpoint bytes — and the same engine then takes the good image
+// and finishes every stream as the uninterrupted run did.
+TEST(EngineCheckpoint, RejectedRestoreLeavesEngineUntouched) {
+  serve::StreamEngine reference({.threads = 2, .max_streams = 32});
+  const std::vector<serve::StreamId> ids = submit_matrix(reference);
+  reference.run_to_completion();
+
+  serve::StreamEngine interrupted({.threads = 2, .max_streams = 32});
+  ASSERT_EQ(submit_matrix(interrupted), ids);
+  for (int k = 0; k < 20; ++k) interrupted.step_all();
+  const std::vector<std::uint8_t> good = interrupted.checkpoint().value();
+  std::vector<std::uint8_t> doctored = good;
+  doctored[16] ^= 0xFF;
+  fix_header_crc(doctored);
+
+  const std::vector<std::uint8_t> empty_image =
+      serve::StreamEngine({.threads = 2}).checkpoint().value();
+  serve::StreamEngine engine({.threads = 2});
+  const Status rejected = engine.restore(doctored);
+  EXPECT_EQ(rejected.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(rejected.message(), "snapshot fingerprint mismatch");
+  const serve::EngineSnapshot counters = engine.snapshot();
+  EXPECT_EQ(counters.running, 0u);
+  EXPECT_EQ(counters.queued, 0u);
+  EXPECT_EQ(counters.finished, 0u);
+  EXPECT_EQ(counters.streams_admitted, 0u);
+  EXPECT_EQ(engine.checkpoint().value(), empty_image);
+
+  const Status restored = engine.restore(good);
+  ASSERT_TRUE(restored.is_ok()) << restored.message();
+  engine.run_to_completion();
+  for (serve::StreamId id : ids) {
+    Result<serve::StreamResult> got = engine.drain(id);
+    Result<serve::StreamResult> want = reference.drain(id);
+    ASSERT_TRUE(got.is_ok() && want.is_ok()) << "stream " << id;
+    expect_results_equal(got.value(), want.value(), "stream " + std::to_string(id));
   }
 }
 

@@ -37,8 +37,8 @@ using serve::StreamEngine;
 using serve::StreamEngineOptions;
 using serve::StreamId;
 
-/// Cap a case's run length, re-fitting the attack window (mirrors the SIMD
-/// differential suite's helper).
+/// Cap a case's run length, re-fitting the attack window (and a replay
+/// attack's recorded segment, which must end before the attack starts).
 void cap_case(SimulatorCase& scase, std::size_t max_steps) {
   scase.steps = std::min(scase.steps, max_steps);
   if (scase.attack_start + scase.attack_duration > scase.steps) {

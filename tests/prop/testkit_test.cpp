@@ -84,9 +84,9 @@ TEST(TrialSeedTest, PureAndDistinctAcrossPropertiesAndIndices) {
   EXPECT_NE(trial_seed(1, "p", 0), trial_seed(2, "p", 0));
 }
 
-TEST(CatalogueTest, NineteenUniqueEntriesWithPaperRefs) {
+TEST(CatalogueTest, UniqueEntriesWithPaperRefs) {
   const auto& cat = property_catalogue();
-  EXPECT_EQ(cat.size(), 19u);
+  EXPECT_EQ(cat.size(), 18u);
   std::set<std::string_view> names;
   for (const Property& p : cat) {
     EXPECT_NE(p.fn, nullptr);

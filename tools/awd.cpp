@@ -1,6 +1,6 @@
 // awd — the operator binary: one subcommand per question an operator asks
 // of a snapshot (ckpt), a dump (forensics), a deadline table (reach), a
-// tuning (tune), a host or a run (diagnose) and an --obs-out directory
+// tuning (tune), a run (diagnose) and an --obs-out directory
 // (obs).  This file holds main, the subcommand table and the shared layer
 // declared in cli.hpp.
 #include <algorithm>
@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "cli.hpp"
-#include "linalg/kernels.hpp"
 
 namespace awd::cli {
 namespace {
@@ -52,13 +51,6 @@ void print_usage(std::FILE* out, std::string_view lines) {
     lines.remove_prefix(std::min(lines.size(), line.size() + 1));
     lead = "       ";
   }
-}
-
-void print_simd_line() {
-  namespace kn = linalg::kernels;
-  std::printf("simd: compiled=%s runtime=%s active=%s (lane width %zu)\n",
-              kn::level_name(kn::compiled_level()), kn::level_name(kn::runtime_level()),
-              kn::level_name(kn::active_level()), kn::lane_width(kn::active_level()));
 }
 
 std::uint64_t parse_u64(std::string_view what, std::string_view text) {

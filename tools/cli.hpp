@@ -1,6 +1,6 @@
 // cli.hpp — the layer every `awd` subcommand shares: argument walking with
 // validated numbers, name lookups, the "[code] message" form of a Status,
-// the SIMD line, usage text and the exit convention.
+// usage text and the exit convention.
 //
 // Exit convention: 0 ok; 1 invalid or corrupt input data, or a failed
 // verification or convergence; 2 usage, unknown name, malformed number or
@@ -41,11 +41,6 @@ void error(const std::string& message);
 
 /// Print usage lines (each given without the leading "awd ").
 void print_usage(std::FILE* out, std::string_view lines);
-
-/// The compiled, runtime-detected and active SIMD kernel levels
-/// (DESIGN.md §14): timings from an AVX2 build are not comparable to scalar
-/// ones, so every report says which produced them.
-void print_simd_line();
 
 /// `text` as a whole decimal (or 0x-prefixed hex) unsigned number; any
 /// other text is exit 2 naming `what`.

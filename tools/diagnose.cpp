@@ -1,18 +1,16 @@
-// awd diagnose / awd obs — host, run and observability diagnostics.
+// awd diagnose / awd obs — run and observability diagnostics.
 //
-// `awd diagnose` with no arguments reports the build/host facts a bug
-// report or bench JSON should carry — most importantly the compiled,
-// runtime-detected and active SIMD kernel levels (DESIGN.md §14).  The
-// per-case form prints per-phase residual statistics, deadline
-// distribution, alarm locations for both strategies, and run metrics —
-// everything needed to calibrate the free parameters (sensor noise, attack
-// magnitude) against the paper's reported shapes.
+// `awd diagnose <case_key> <attack> [seed]` runs one case and prints
+// per-phase residual statistics, deadline distribution, alarm locations
+// for both strategies, and run metrics — everything needed to calibrate the
+// free parameters (sensor noise, attack magnitude) against the paper's
+// reported shapes.  With no arguments it prints its header and usage.
 //
 // `awd obs` ingests a directory written by --obs-out and pretty-prints it:
-// the SIMD line, counter/gauge tables, derived ratios, per-stage profile,
-// the window-size histogram, and the top-N slowest trace spans.  CI runs
-// it over the archived trace directory so the numbers appear in the job
-// log next to the artifact.
+// counter/gauge tables, derived ratios, per-stage profile, the window-size
+// histogram, and the top-N slowest trace spans.  CI runs it over the
+// archived trace directory so the numbers appear in the job log next to
+// the artifact.
 #include <algorithm>
 #include <cstdint>
 
@@ -46,9 +44,7 @@ void print_alarm_ranges(const Trace& trace, bool adaptive, const char* label) {
 
 int run_diagnose(const Args& args) {
   if (args.count() == 0) {
-    std::printf("awd diagnose — build/host diagnostics\n");
-    print_simd_line();
-    std::printf("\n");
+    std::printf("awd diagnose — per-run detection diagnostics\n\n");
     print_usage(stdout, args.usage_lines());
     return kOk;
   }
@@ -76,7 +72,6 @@ int run_diagnose(const Args& args) {
 
   std::printf("%s / %s / seed %llu  (tau[0]=%g)\n", scase.key.c_str(), attack_name.c_str(),
               static_cast<unsigned long long>(seed), scase.tau[0]);
-  print_simd_line();
   std::printf("\nresidual mean per dim (vs tau):\n");
   for (const Phase& ph : phases) {
     if (ph.hi <= ph.lo) continue;
@@ -130,7 +125,6 @@ int run_obs(const Args& args) {
   const std::string& dir = args.at(0);
   if (args.count() != 1) usage();
   const std::size_t top_n = args.u64("--top", 10);
-  print_simd_line();
   if (!obs::print_obs_summary(dir, top_n)) {
     throw Exit{kFailed, dir + " has neither metrics.json nor trace.json"};
   }
