@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 namespace awd::core::ckpt {
 
@@ -255,7 +256,9 @@ bool Reader::block(Reader& out) {
 
 // --- SnapshotBuilder -------------------------------------------------------
 
-SnapshotBuilder::SnapshotBuilder(std::size_t capacity) {
+SnapshotBuilder::SnapshotBuilder(std::size_t capacity, std::vector<std::uint8_t> buffer) {
+  out_.buf_ = std::move(buffer);
+  out_.buf_.clear();
   out_.buf_.reserve(std::max(capacity, kHeaderSize));
   // Section count, fingerprint and CRC are filled in by finish().
   out_.bytes(kMagic, sizeof(kMagic));

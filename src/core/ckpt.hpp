@@ -181,14 +181,17 @@ class SnapshotBuilder {
  public:
   /// `capacity` reserves the image up front; pass the exact size when it is
   /// known (kHeaderSize + the sum of kSectionHeaderSize + payload bytes).
-  explicit SnapshotBuilder(std::size_t capacity = 0);
+  /// The image is built in `buffer`'s storage: its bytes are discarded and
+  /// its capacity kept, so a caller that hands the same buffer back for
+  /// every image allocates only when an image outgrows it.
+  explicit SnapshotBuilder(std::size_t capacity = 0, std::vector<std::uint8_t> buffer = {});
 
   /// End the open section (if any) and start a new one; write its payload
   /// through the returned Writer before the next section() or finish().
   Writer& section(std::uint32_t id);
 
-  /// Produce the final byte image with `fingerprint` in the header.  The
-  /// builder is spent afterwards.
+  /// Produce the final byte image (in the buffer the builder was given) with
+  /// `fingerprint` in the header.  The builder is spent afterwards.
   [[nodiscard]] std::vector<std::uint8_t> finish(std::uint64_t fingerprint);
 
  private:

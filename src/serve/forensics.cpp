@@ -37,32 +37,46 @@ const char* dump_reason_name(DumpReason reason) noexcept {
   return "unknown";
 }
 
-std::vector<std::uint8_t> encode_dump(const ForensicsDump& dump) {
-  ckpt::Writer spec_w;
-  write_stream_spec(spec_w, dump.spec);
+SpecBlock encode_spec_block(const StreamSpec& spec) {
+  ckpt::Writer w;
+  write_stream_spec(w, spec);
+  SpecBlock block;
+  block.fingerprint = ckpt::fnv1a64(w.data().data(), w.size());
+  block.bytes = w.take();
+  return block;
+}
 
+void encode_dump_into(std::vector<std::uint8_t>& image, const DumpMeta& meta,
+                      const SpecBlock& spec, const std::vector<obs::FlightFrame>& frames) {
   // Meta: format version, reason, then five u64 fields.
   constexpr std::size_t kMetaBytes = 4 + 1 + 5 * 8;
-  const std::size_t frames_bytes = 8 + dump.frames.size() * ckpt::kFlightFrameBytes;
+  const std::size_t frames_bytes = 8 + frames.size() * ckpt::kFlightFrameBytes;
   ckpt::SnapshotBuilder builder(ckpt::kHeaderSize + 3 * ckpt::kSectionHeaderSize +
-                                kMetaBytes + spec_w.size() + frames_bytes);
+                                    kMetaBytes + spec.bytes.size() + frames_bytes,
+                                std::move(image));
 
-  ckpt::Writer& meta = builder.section(kForensicsSectionMeta);
-  meta.u32(kForensicsFormatVersion);
-  meta.u8(static_cast<std::uint8_t>(dump.reason));
-  meta.u64(dump.stream);
-  meta.u64(dump.shard);
-  meta.u64(dump.trigger_step);
-  meta.u64(dump.steps_done);
-  meta.u64(dump.ts_ns);
+  ckpt::Writer& meta_w = builder.section(kForensicsSectionMeta);
+  meta_w.u32(kForensicsFormatVersion);
+  meta_w.u8(static_cast<std::uint8_t>(meta.reason));
+  meta_w.u64(meta.stream);
+  meta_w.u64(meta.shard);
+  meta_w.u64(meta.trigger_step);
+  meta_w.u64(meta.steps_done);
+  meta_w.u64(meta.ts_ns);
 
-  builder.section(kForensicsSectionSpec).bytes(spec_w.data().data(), spec_w.size());
+  builder.section(kForensicsSectionSpec).bytes(spec.bytes.data(), spec.bytes.size());
 
-  ckpt::Writer& frames = builder.section(kForensicsSectionFrames);
-  frames.u64(dump.frames.size());
-  ckpt::write_flight_frames(frames, dump.frames);
+  ckpt::Writer& frames_w = builder.section(kForensicsSectionFrames);
+  frames_w.u64(frames.size());
+  ckpt::write_flight_frames(frames_w, frames);
 
-  return builder.finish(ckpt::fnv1a64(spec_w.data().data(), spec_w.size()));
+  image = builder.finish(spec.fingerprint);
+}
+
+std::vector<std::uint8_t> encode_dump(const ForensicsDump& dump) {
+  std::vector<std::uint8_t> image;
+  encode_dump_into(image, dump, encode_spec_block(dump.spec), dump.frames);
+  return image;
 }
 
 core::Result<ForensicsDump> decode_dump(const std::vector<std::uint8_t>& bytes) {
@@ -107,9 +121,7 @@ core::Result<ForensicsDump> decode_dump(const std::vector<std::uint8_t>& bytes) 
     if (core::Status s = dump.spec.scase.check(); !s.is_ok()) return s;
     // The fingerprint pairs the image with its spec bytes, exactly like the
     // engine snapshot: re-encode canonically and compare.
-    ckpt::Writer spec_w;
-    write_stream_spec(spec_w, dump.spec);
-    if (ckpt::fnv1a64(spec_w.data().data(), spec_w.size()) != view.fingerprint()) {
+    if (encode_spec_block(dump.spec).fingerprint != view.fingerprint()) {
       return core::Status{core::StatusCode::kDataLoss,
                           "forensics dump fingerprint mismatch"};
     }

@@ -46,17 +46,31 @@ inline constexpr std::uint32_t kForensicsSectionFrames = 3;
 /// Dump format version (bump on layout change; readers reject others).
 inline constexpr std::uint32_t kForensicsFormatVersion = 1;
 
-/// One decoded flight-recorder dump.
-struct ForensicsDump {
+/// A dump's meta section: why it was taken, of which stream, and when.
+struct DumpMeta {
   DumpReason reason = DumpReason::kManual;
   StreamId stream = 0;
   std::uint64_t shard = 0;         ///< shard index at dump time (layout info only)
   std::uint64_t trigger_step = 0;  ///< step that tripped the dump
   std::uint64_t steps_done = 0;    ///< stream progress when dumped
   std::uint64_t ts_ns = 0;         ///< monotonic timestamp at dump
+};
+
+/// One decoded flight-recorder dump.
+struct ForensicsDump : DumpMeta {
   StreamSpec spec;                 ///< normalized spec — the replay recipe
   std::vector<obs::FlightFrame> frames;  ///< oldest → newest, contiguous steps
 };
+
+/// Encode a spec's block and fingerprint (what every dump of the stream
+/// carries; the engine encodes it once per stream and reuses it).
+[[nodiscard]] SpecBlock encode_spec_block(const StreamSpec& spec);
+
+/// The .awdfr encoder: write the image for `meta`, the encoded spec and the
+/// frames into `image`, replacing its bytes and keeping its capacity.  The
+/// engine's automatic, manual and crash dumps and encode_dump all run it.
+void encode_dump_into(std::vector<std::uint8_t>& image, const DumpMeta& meta,
+                      const SpecBlock& spec, const std::vector<obs::FlightFrame>& frames);
 
 /// Encode a dump as a .awdfr image.
 [[nodiscard]] std::vector<std::uint8_t> encode_dump(const ForensicsDump& dump);

@@ -70,6 +70,11 @@ struct ServeObs {
   }
 };
 
+/// Replace `bytes` by a copy allocated by the calling thread.
+void rehome(std::vector<std::uint8_t>& bytes) {
+  std::vector<std::uint8_t>(bytes).swap(bytes);
+}
+
 }  // namespace
 
 std::string StreamEngine::family_fingerprint(const core::SimulatorCase& scase,
@@ -246,15 +251,11 @@ void StreamEngine::step_shard_(Shard& shard, std::size_t budget) {
   const auto shard_index = static_cast<std::uint64_t>(&shard - shards_.data());
   obs::EventLog& events = obs::EventLog::global();
   shard.stepped = 0;
+  // At most one dump per slot per batch, so the queue never grows mid-pass;
+  // the frame scratch holds a full ring.
+  shard.pending_dumps.reserve(shard.slots.size());
+  if (!shard.recorders.empty()) shard.frames.reserve(options_.flight_recorder_depth);
   StreamSoa& soa = shard.soa;
-  // At most one pending dump per slot per batch — a flapping alarm must not
-  // queue a dump (file write) for every rising edge inside a chunk.
-  const auto dump_queued = [&shard](std::size_t slot) {
-    for (const PendingDump& d : shard.pending_dumps) {
-      if (d.slot == slot) return true;
-    }
-    return false;
-  };
   for (std::size_t i = 0; i < shard.slots.size(); ++i) {
     if (!shard.slots[i]) continue;
     StreamRuntime& stream = *shard.slots[i];
@@ -272,6 +273,17 @@ void StreamEngine::step_shard_(Shard& shard, std::size_t budget) {
     bool prev_alarm = soa.adaptive_alarm[i] != 0;
     auto prev_health = static_cast<fault::HealthState>(soa.health[i]);
     bool prev_quarantined = soa.quarantined[i] != 0;
+    // At most one dump per slot per batch, for the chunk's first trigger —
+    // a flapping alarm must not dump (and write a file) for every rising
+    // edge inside a chunk.
+    bool dump_due = false;
+    PendingDump dump{.slot = i};
+    const auto trigger = [&](DumpReason reason) {
+      if (recorder == nullptr || dump_due) return;
+      dump_due = true;
+      dump.reason = reason;
+      dump.trigger_step = shard.rec.t;
+    };
     for (std::size_t k = 0; k < chunk; ++k) {
       stream.system.step_into(shard.rec);
       stream.metrics.observe(shard.rec);
@@ -280,22 +292,17 @@ void StreamEngine::step_shard_(Shard& shard, std::size_t budget) {
         events.log(obs::EventKind::kAlarm, stream.id, shard_index, shard.rec.t,
                    static_cast<std::int64_t>(shard.rec.window),
                    static_cast<std::int64_t>(shard.rec.deadline), "adaptive");
-        if (recorder != nullptr && !dump_queued(i)) {
-          shard.pending_dumps.push_back({i, DumpReason::kAlarm, shard.rec.t});
-        }
+        trigger(DumpReason::kAlarm);
       }
       if (shard.rec.health != prev_health) {
         events.log(obs::EventKind::kHealthTransition, stream.id, shard_index,
                    shard.rec.t, static_cast<std::int64_t>(prev_health),
                    static_cast<std::int64_t>(shard.rec.health),
                    fault::to_string(shard.rec.health).data());
-        const bool into_degraded = shard.rec.health == fault::HealthState::kDegraded;
-        const bool into_failsafe = shard.rec.health == fault::HealthState::kFailsafe;
-        if ((into_degraded || into_failsafe) && recorder != nullptr && !dump_queued(i)) {
-          shard.pending_dumps.push_back({i,
-                                         into_failsafe ? DumpReason::kHealthFailsafe
-                                                       : DumpReason::kHealthDegraded,
-                                         shard.rec.t});
+        if (shard.rec.health == fault::HealthState::kDegraded) {
+          trigger(DumpReason::kHealthDegraded);
+        } else if (shard.rec.health == fault::HealthState::kFailsafe) {
+          trigger(DumpReason::kHealthFailsafe);
         }
       }
       if (shard.rec.residual_quarantined && !prev_quarantined) {
@@ -315,6 +322,20 @@ void StreamEngine::step_shard_(Shard& shard, std::size_t budget) {
     soa.quarantined[i] = shard.rec.residual_quarantined ? 1 : 0;
     soa.steps_done[i] += chunk;
     shard.stepped += chunk;
+    if (dump_due) {
+      // Encoded here, after the chunk, so the meta carries the progress the
+      // lane now holds.  The spec block is encoded once per stream, and the
+      // image overwrites the stream's previous one in place: once the ring
+      // is full, the image keeps its size and a dump allocates nothing.
+      const std::size_t capacity = stream.last_dump.capacity();
+      dump.allocated = stream.spec_block.bytes.empty();
+      if (dump.allocated) stream.spec_block = encode_spec_block(stream.spec);
+      encode_slot_dump_(shard, shard_index, i, dump.reason, dump.trigger_step,
+                        stream.spec_block, shard.frames, stream.last_dump);
+      dump.frames = shard.frames.size();
+      dump.allocated = dump.allocated || stream.last_dump.capacity() != capacity;
+      shard.pending_dumps.push_back(dump);
+    }
     if (soa.steps_done[i] == soa.steps_total[i]) shard.finished.push_back(i);
   }
 }
@@ -332,6 +353,9 @@ void StreamEngine::finalize_finished_() {
       result.final_health = static_cast<fault::HealthState>(shard.soa.health[slot]);
       result.adaptive_evaluations = stream.system.adaptive_evaluations();
       finished_.emplace(stream.id, std::move(result));
+      if (!stream.last_dump.empty()) {
+        finished_dumps_.emplace(stream.id, std::move(stream.last_dump));
+      }
       running_.erase(stream.id);
       shard.slots[slot].reset();
       shard.free_slots.push_back(slot);
@@ -356,7 +380,7 @@ std::size_t StreamEngine::step_batch_(std::size_t budget) {
     }
     for (const Shard& shard : shards_) stepped += shard.stepped;
     // Dumps before finalize: a stream whose trigger landed on its last step
-    // must still be in its slot when the driver encodes it.
+    // must still be in its slot when the driver writes its dump.
     perform_pending_dumps_();
     finalize_finished_();
     steps_total_ += stepped;
@@ -388,7 +412,7 @@ core::Result<StreamResult> StreamEngine::drain(StreamId id) {
   if (auto it = finished_.find(id); it != finished_.end()) {
     StreamResult result = std::move(it->second);
     finished_.erase(it);
-    last_dump_.erase(id);  // the retained dump dies with the stream
+    finished_dumps_.erase(id);  // the retained dump dies with the stream
     return result;
   }
   if (running_.count(id) != 0) {
@@ -451,56 +475,53 @@ EngineSnapshot StreamEngine::snapshot() const noexcept {
 
 // --- forensics -------------------------------------------------------------
 
-core::Result<std::vector<std::uint8_t>> StreamEngine::encode_slot_dump_(
-    const Shard& shard, std::size_t shard_index, std::size_t slot, DumpReason reason,
-    std::uint64_t trigger_step) const {
-  const StreamRuntime& stream = *shard.slots[slot];
-  const obs::FlightRecorder* recorder =
-      slot < shard.recorders.size() ? shard.recorders[slot].get() : nullptr;
-  if (recorder == nullptr) {
-    return core::Status{core::StatusCode::kUnavailable,
-                        "flight recording disabled (flight_recorder_depth = 0)"};
-  }
-  ForensicsDump dump;
-  dump.reason = reason;
-  dump.stream = stream.id;
-  dump.shard = shard_index;
-  dump.trigger_step = trigger_step;
-  dump.steps_done = shard.soa.steps_done[slot];
-  dump.ts_ns = obs::Tracer::now_ns();
-  dump.spec = stream.spec;
-  recorder->snapshot(dump.frames);
-  return encode_dump(dump);
+void StreamEngine::encode_slot_dump_(const Shard& shard, std::size_t shard_index,
+                                     std::size_t slot, DumpReason reason,
+                                     std::uint64_t trigger_step, const SpecBlock& spec,
+                                     std::vector<obs::FlightFrame>& frames,
+                                     std::vector<std::uint8_t>& image) const {
+  DumpMeta meta;
+  meta.reason = reason;
+  meta.stream = shard.slots[slot]->id;
+  meta.shard = shard_index;
+  meta.trigger_step = trigger_step;
+  meta.steps_done = shard.soa.steps_done[slot];
+  meta.ts_ns = obs::Tracer::now_ns();
+  shard.recorders[slot]->snapshot(frames);
+  encode_dump_into(image, meta, spec, frames);
 }
 
 void StreamEngine::perform_pending_dumps_() {
   for (std::size_t si = 0; si < shards_.size(); ++si) {
     Shard& shard = shards_[si];
-    if (shard.pending_dumps.empty()) continue;
     for (const PendingDump& d : shard.pending_dumps) {
-      if (!shard.slots[d.slot]) continue;
-      const StreamId id = shard.slots[d.slot]->id;
-      core::Result<std::vector<std::uint8_t>> image =
-          encode_slot_dump_(shard, si, d.slot, d.reason, d.trigger_step);
-      if (!image.is_ok()) continue;
-      const auto frames = static_cast<std::int64_t>(shard.recorders[d.slot]->size());
+      StreamRuntime& stream = *shard.slots[d.slot];
+      if (d.allocated) {
+        // Move the buffers the worker allocated for the stream onto this
+        // thread's heap.  The allocator gives each thread its own arena, and
+        // buffers that live as long as their stream would grow every
+        // worker's arena by the images of its streams.
+        rehome(stream.spec_block.bytes);
+        rehome(stream.last_dump);
+      }
       if (!options_.forensics_dir.empty()) {
         char name[96];
         std::snprintf(name, sizeof name, "/stream_%llu_%s_%llu.awdfr",
-                      static_cast<unsigned long long>(id), dump_reason_name(d.reason),
+                      static_cast<unsigned long long>(stream.id),
+                      dump_reason_name(d.reason),
                       static_cast<unsigned long long>(d.trigger_step));
         const core::Status st =
-            core::ckpt::write_file(options_.forensics_dir + name, image.value());
+            core::ckpt::write_file(options_.forensics_dir + name, stream.last_dump);
         if (!st.is_ok()) {
           std::fprintf(stderr, "serve: forensic dump for stream %llu failed: %s\n",
-                       static_cast<unsigned long long>(id),
+                       static_cast<unsigned long long>(stream.id),
                        std::string(st.message()).c_str());
         }
       }
-      obs::EventLog::global().log(obs::EventKind::kDump, id, si, d.trigger_step,
-                                  frames, static_cast<std::int64_t>(d.reason),
+      obs::EventLog::global().log(obs::EventKind::kDump, stream.id, si, d.trigger_step,
+                                  static_cast<std::int64_t>(d.frames),
+                                  static_cast<std::int64_t>(d.reason),
                                   dump_reason_name(d.reason));
-      last_dump_[id] = std::move(image).value();
       ++dumps_written_;
     }
     shard.pending_dumps.clear();
@@ -516,42 +537,59 @@ core::Result<std::vector<std::uint8_t>> StreamEngine::dump_stream(
   }
   const Shard& shard = shards_[it->second.first];
   const std::size_t slot = it->second.second;
+  if (slot >= shard.recorders.size() || !shard.recorders[slot]) {
+    return core::Status{core::StatusCode::kUnavailable,
+                        "flight recording disabled (flight_recorder_depth = 0)"};
+  }
+  const StreamRuntime& stream = *shard.slots[slot];
+  SpecBlock fresh;
+  if (stream.spec_block.bytes.empty()) fresh = encode_spec_block(stream.spec);
   const std::size_t done = shard.soa.steps_done[slot];
-  return encode_slot_dump_(shard, it->second.first, slot, reason,
-                           done > 0 ? done - 1 : 0);
+  std::vector<obs::FlightFrame> frames;
+  std::vector<std::uint8_t> image;
+  encode_slot_dump_(shard, it->second.first, slot, reason, done > 0 ? done - 1 : 0,
+                    fresh.bytes.empty() ? stream.spec_block : fresh, frames, image);
+  return image;
 }
 
 core::Result<std::vector<std::uint8_t>> StreamEngine::last_dump(StreamId id) const {
-  const auto it = last_dump_.find(id);
-  if (it == last_dump_.end()) {
-    return core::Status{core::StatusCode::kOutOfRange,
-                        "no retained dump for this stream id"};
+  if (const auto it = running_.find(id); it != running_.end()) {
+    const StreamRuntime& stream = *shards_[it->second.first].slots[it->second.second];
+    if (!stream.last_dump.empty()) return stream.last_dump;
+  } else if (const auto dump = finished_dumps_.find(id); dump != finished_dumps_.end()) {
+    return dump->second;
   }
-  return it->second;
+  return core::Status{core::StatusCode::kOutOfRange, "no retained dump for this stream id"};
 }
 
 std::size_t StreamEngine::dump_all_streams(const std::string& dir,
                                            DumpReason reason) const noexcept {
   std::size_t written = 0;
   try {
+    std::vector<obs::FlightFrame> frames;
+    std::vector<std::uint8_t> image;
     for (std::size_t si = 0; si < shards_.size(); ++si) {
       const Shard& shard = shards_[si];
       for (std::size_t slot = 0; slot < shard.slots.size(); ++slot) {
-        if (!shard.slots[slot]) continue;
+        if (!shard.slots[slot] || slot >= shard.recorders.size() || !shard.recorders[slot]) {
+          continue;
+        }
+        const StreamRuntime& stream = *shard.slots[slot];
         const std::size_t done = shard.soa.steps_done[slot];
-        core::Result<std::vector<std::uint8_t>> image =
-            encode_slot_dump_(shard, si, slot, reason, done > 0 ? done - 1 : 0);
-        if (!image.is_ok()) continue;
-        const StreamId id = shard.slots[slot]->id;
+        const std::uint64_t step = done > 0 ? done - 1 : 0;
+        // A fresh spec block, not the cached one: this hook may run while a
+        // worker is still encoding the stream's first dump.
+        encode_slot_dump_(shard, si, slot, reason, step, encode_spec_block(stream.spec),
+                          frames, image);
         char name[96];
         std::snprintf(name, sizeof name, "/stream_%llu_%s.awdfr",
-                      static_cast<unsigned long long>(id), dump_reason_name(reason));
-        if (core::ckpt::write_file(dir + name, image.value()).is_ok()) {
+                      static_cast<unsigned long long>(stream.id), dump_reason_name(reason));
+        if (core::ckpt::write_file(dir + name, image).is_ok()) {
           ++written;
-          obs::EventLog::global().log(
-              obs::EventKind::kDump, id, si, done > 0 ? done - 1 : 0,
-              static_cast<std::int64_t>(image.value().size()),
-              static_cast<std::int64_t>(reason), dump_reason_name(reason));
+          obs::EventLog::global().log(obs::EventKind::kDump, stream.id, si, step,
+                                      static_cast<std::int64_t>(frames.size()),
+                                      static_cast<std::int64_t>(reason),
+                                      dump_reason_name(reason));
         }
       }
     }

@@ -15,7 +15,12 @@
 //   * deadline estimators are shared per plant family (their query API is
 //     const), amortizing the dominant construction cost across streams;
 //   * per-stream scoring runs on core::StreamingMetrics (O(1) state), so
-//     no trace is ever materialized.
+//     no trace is ever materialized;
+//   * automatic forensic dumps (serve/forensics.hpp) are encoded by the
+//     shard's worker, in place over the stream's previous dump image, so a
+//     dump neither runs on the driver thread nor allocates once the
+//     stream's recorder ring is full; the driver only writes the file and
+//     logs the event.
 //
 // Determinism: streams share no mutable state — each owns its RNG, logger
 // and detectors — so every stream's alarms, deadlines and metrics are
@@ -75,6 +80,14 @@ struct StreamSpec {
   core::DetectionSystemOptions options = {};
 };
 
+/// A spec as every .awdfr dump of its stream carries it: the encoded spec
+/// block (serve/engine_ckpt's spec codec) and its FNV-1a 64 fingerprint,
+/// the image's header fingerprint.  Built by serve::encode_spec_block.
+struct SpecBlock {
+  std::vector<std::uint8_t> bytes;  ///< empty until encoded
+  std::uint64_t fingerprint = 0;
+};
+
 /// Where a stream is in its lifecycle.
 enum class StreamState : std::uint8_t { kQueued, kRunning, kFinished };
 
@@ -97,7 +110,9 @@ struct StreamStatus {
   StreamState state = StreamState::kQueued;
   std::size_t steps_done = 0;
   std::size_t steps_total = 0;
-  // Last completed step's detection outputs (kRunning/kFinished only).
+  // Last completed step's detection outputs (kRunning only).  A finished
+  // stream reports its steps and final health; its scores are in drain()'s
+  // StreamResult.
   std::size_t deadline = 0;
   std::size_t window = 0;
   bool adaptive_alarm = false;
@@ -249,7 +264,7 @@ class StreamEngine {
       StreamId id, DumpReason reason = DumpReason::kManual) const;
 
   /// The most recent automatic dump taken for a stream (kOutOfRange when
-  /// none).  Retained until the stream is drained.
+  /// none).  Retained until the stream is drained, and across rebalance().
   [[nodiscard]] core::Result<std::vector<std::uint8_t>> last_dump(StreamId id) const;
 
   /// Dump every running stream's recorder into `dir` (best effort — the
@@ -294,16 +309,20 @@ class StreamEngine {
 
  private:
   /// One admitted stream's cold state: its normalized spec (retained as the
-  /// checkpoint/restore source of truth), its pipeline, and its O(1)
-  /// scorer.  The per-step hot scalars (progress, last detection outputs)
-  /// live in the shard's structure-of-arrays batch instead — the inner step
-  /// loop walks those contiguous lanes rather than chasing one heap object
-  /// per stream.
+  /// checkpoint/restore source of truth), its pipeline, its O(1) scorer,
+  /// and its forensic state: the spec block, encoded at its first automatic
+  /// dump, and the image of its latest automatic dump, which the next one
+  /// overwrites in place.  The per-step hot scalars (progress, last
+  /// detection outputs) live in the shard's structure-of-arrays batch
+  /// instead — the inner step loop walks those contiguous lanes rather than
+  /// chasing one heap object per stream.
   struct StreamRuntime {
     StreamId id;
     StreamSpec spec;
     core::DetectionSystem system;
     core::StreamingMetrics metrics;
+    SpecBlock spec_block;                 ///< empty until the first dump
+    std::vector<std::uint8_t> last_dump;  ///< empty until the first dump
 
     StreamRuntime(StreamId id_, StreamSpec spec_, core::DetectionSystem system_,
                   core::StreamingMetrics metrics_)
@@ -350,13 +369,15 @@ class StreamEngine {
     }
   };
 
-  /// A dump trigger observed by a shard worker mid-batch.  File and event
-  /// I/O stay off the workers: triggers are queued here and performed on
-  /// the driver thread after the pool joins (perform_pending_dumps_).
+  /// An automatic dump a shard worker encoded this batch (into the slot's
+  /// StreamRuntime::last_dump).  File and event I/O stay off the workers:
+  /// the driver performs them after the pool joins (perform_pending_dumps_).
   struct PendingDump {
     std::size_t slot = 0;
     DumpReason reason = DumpReason::kAlarm;
     std::uint64_t trigger_step = 0;
+    std::size_t frames = 0;  ///< frames in the image
+    bool allocated = false;  ///< the worker (re)allocated the stream's dump buffers
   };
 
   /// One worker's partition.  The shard's StepRecord is the arena every one
@@ -371,7 +392,8 @@ class StreamEngine {
     std::vector<std::unique_ptr<obs::FlightRecorder>> recorders;
     std::vector<std::size_t> free_slots;
     std::vector<std::size_t> finished;  ///< slots that completed this batch
-    std::vector<PendingDump> pending_dumps;  ///< triggers awaiting the driver
+    std::vector<PendingDump> pending_dumps;  ///< dumps awaiting the driver
+    std::vector<obs::FlightFrame> frames;    ///< dump scratch (recorder snapshot)
     sim::StepRecord rec;                ///< reused step arena
     std::size_t stepped = 0;            ///< stream-steps executed this batch
   };
@@ -420,17 +442,19 @@ class StreamEngine {
   std::size_t step_batch_(std::size_t budget);
   void step_shard_(Shard& shard, std::size_t budget);
   void finalize_finished_();
-  /// Driver-thread half of the dump pipeline: encode each queued trigger,
-  /// retain it as the stream's last dump, write the .awdfr file when
-  /// forensics_dir is set, and log the dump event.
+  /// Driver-thread half of the dump pipeline: for each dump the workers
+  /// encoded, write the .awdfr file when forensics_dir is set, log the dump
+  /// event and count it.
   void perform_pending_dumps_();
   /// Publish the introspection tallies as awd_serve_* gauges.
   void publish_introspection_() const;
-  /// Encode one slot's recorder as a dump image (shared by the automatic,
-  /// manual and crash paths).
-  [[nodiscard]] core::Result<std::vector<std::uint8_t>> encode_slot_dump_(
-      const Shard& shard, std::size_t shard_index, std::size_t slot,
-      DumpReason reason, std::uint64_t trigger_step) const;
+  /// Encode one slot's recorder into `image` (shared by the automatic,
+  /// manual and crash paths), leaving the encoded frames in `frames`.  The
+  /// slot must have a recorder.
+  void encode_slot_dump_(const Shard& shard, std::size_t shard_index, std::size_t slot,
+                         DumpReason reason, std::uint64_t trigger_step, const SpecBlock& spec,
+                         std::vector<obs::FlightFrame>& frames,
+                         std::vector<std::uint8_t>& image) const;
 
   StreamEngineOptions options_;
   std::unique_ptr<core::ThreadPool> pool_;
@@ -447,7 +471,7 @@ class StreamEngine {
   std::uint64_t streams_finished_ = 0;
   std::uint64_t streams_rejected_ = 0;
   std::unordered_map<StreamId, std::vector<std::uint8_t>>
-      last_dump_;  ///< latest automatic dump per stream (dropped at drain)
+      finished_dumps_;  ///< finished streams' last dumps (dropped at drain)
   std::uint64_t dumps_written_ = 0;
   std::uint64_t failure_hook_token_ = 0;  ///< 0 = no crash hook registered
 };

@@ -109,6 +109,36 @@ TEST(StreamEngineDifferential, PerStepSnapshotMatchesStandalone) {
   EXPECT_EQ(engine.status(id.value()).value().state, serve::StreamState::kFinished);
 }
 
+// A finished stream's status carries its progress and final health only;
+// the last step's detection outputs are reported for running streams, and
+// a finished stream's scores come from drain()'s StreamResult.
+TEST(StreamEngineStatus, FinishedStreamReportsStepsAndFinalHealth) {
+  const SimulatorCase scase = simulator_case("dc_motor");
+  serve::StreamEngine engine({.threads = 1});
+  Result<serve::StreamId> id =
+      engine.submit({.scase = scase, .attack = AttackKind::kNone, .seed = 7});
+  ASSERT_TRUE(id.is_ok());
+  for (std::size_t t = 0; t + 1 < scase.steps; ++t) engine.step_all();
+  const serve::StreamStatus running = engine.status(id.value()).value();
+  ASSERT_EQ(running.state, serve::StreamState::kRunning);
+  EXPECT_GT(running.deadline, 0u);
+  EXPECT_GT(running.window, 0u);
+
+  ASSERT_EQ(engine.step_all(), 1u);
+  const serve::StreamStatus finished = engine.status(id.value()).value();
+  EXPECT_EQ(finished.state, serve::StreamState::kFinished);
+  EXPECT_EQ(finished.steps_done, scase.steps);
+  EXPECT_EQ(finished.steps_total, scase.steps);
+  EXPECT_EQ(finished.deadline, 0u);
+  EXPECT_EQ(finished.window, 0u);
+  EXPECT_FALSE(finished.adaptive_alarm);
+  EXPECT_FALSE(finished.fixed_alarm);
+  Result<serve::StreamResult> result = engine.drain(id.value());
+  ASSERT_TRUE(result.is_ok());
+  EXPECT_EQ(finished.health, result.value().final_health);
+  EXPECT_EQ(result.value().steps, scase.steps);
+}
+
 // Results must not depend on the shard/thread layout.
 TEST(StreamEngineDifferential, ShardCountInvariant) {
   const SimulatorCase scase = simulator_case("dc_motor");

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "obs/event_log.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "reach/backend.hpp"
 #include "serve/forensics.hpp"
 #include "serve/stream_engine.hpp"
 #include "sim/trace.hpp"
@@ -475,6 +477,133 @@ TEST(EngineForensics, FirstAlarmDumpBytesPinned) {
   EXPECT_EQ(core::ckpt::fnv1a64(bytes.data(), bytes.size()), 0xa0a074f7812ff2c9ULL);
 }
 
+/// 64 streams over serve_steady's four families (aircraft_pitch and
+/// series_rlc on the table backend) plus 12-state quadrotor, with rotating
+/// attacks and staggered run lengths so dumps land on every shard.
+std::vector<serve::StreamSpec> mixed_fleet() {
+  const char* const plants[] = {"aircraft_pitch", "vehicle_turning", "series_rlc", "dc_motor",
+                                "quadrotor"};
+  const AttackKind attacks[] = {AttackKind::kBias, AttackKind::kIntermittentBias,
+                                AttackKind::kDelay, AttackKind::kReplay};
+  std::vector<serve::StreamSpec> fleet;
+  for (std::size_t i = 0; i < 64; ++i) {
+    serve::StreamSpec spec;
+    const std::string plant = plants[i % 5];
+    spec.scase = simulator_case(plant);
+    if (plant == "aircraft_pitch" || plant == "series_rlc") {
+      spec.scase.reach_backend = reach::BackendKind::kTable;
+    }
+    cap_case(spec.scase, 180 + 20 * (i % 4));
+    spec.attack = attacks[(i / 5) % 4];
+    spec.seed = 100 + i;
+    spec.steps = spec.scase.steps;
+    spec.metrics.post_attack_guard = spec.scase.max_window;
+    fleet.push_back(std::move(spec));
+  }
+  return fleet;
+}
+
+/// A dump image with its layout-dependent meta (timestamp, shard) zeroed.
+std::vector<std::uint8_t> without_layout(const std::vector<std::uint8_t>& image) {
+  core::Result<ForensicsDump> dump = serve::decode_dump(image);
+  EXPECT_TRUE(dump.is_ok()) << dump.status().message();
+  if (!dump.is_ok()) return {};
+  ForensicsDump d = dump.value();
+  d.ts_ns = 0;
+  d.shard = 0;
+  return serve::encode_dump(d);
+}
+
+/// Every retained dump of `ids`, as the engine holds it.
+std::map<StreamId, std::vector<std::uint8_t>> retained_dumps(
+    const StreamEngine& engine, const std::vector<StreamId>& ids) {
+  std::map<StreamId, std::vector<std::uint8_t>> out;
+  for (const StreamId id : ids) {
+    core::Result<std::vector<std::uint8_t>> image = engine.last_dump(id);
+    if (image.is_ok()) out.emplace(id, std::move(image).value());
+  }
+  return out;
+}
+
+/// Each retained dump's file in `dir` holds exactly the retained bytes.
+void expect_files_match(const std::filesystem::path& dir,
+                        const std::map<StreamId, std::vector<std::uint8_t>>& dumps) {
+  for (const auto& [id, image] : dumps) {
+    core::Result<ForensicsDump> dump = serve::decode_dump(image);
+    ASSERT_TRUE(dump.is_ok()) << dump.status().message();
+    const std::string name = "stream_" + std::to_string(id) + "_" +
+                             serve::dump_reason_name(dump.value().reason) + "_" +
+                             std::to_string(dump.value().trigger_step) + ".awdfr";
+    core::Result<std::vector<std::uint8_t>> file =
+        core::ckpt::read_file((dir / name).string());
+    ASSERT_TRUE(file.is_ok()) << name;
+    EXPECT_EQ(file.value(), image) << name;
+  }
+}
+
+// Dumps are encoded on the shard workers; what they hold must not depend on
+// the thread count or on step_all versus run_to_completion driving.
+TEST(EngineForensics, WorkerEncodedDumpsMatchAcrossThreadCounts) {
+  const std::vector<serve::StreamSpec> fleet = mixed_fleet();
+  for (const bool chunked : {false, true}) {
+    std::map<StreamId, std::vector<std::uint8_t>> serial_mid;
+    std::map<StreamId, std::vector<std::uint8_t>> serial_end;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
+      SCOPED_TRACE((chunked ? "run_to_completion, threads " : "step_all, threads ") +
+                   std::to_string(threads));
+      const std::filesystem::path dir =
+          std::filesystem::temp_directory_path() /
+          ("awd_forensics_worker_dumps_" + std::to_string(threads));
+      std::filesystem::remove_all(dir);
+      std::filesystem::create_directories(dir);
+      std::map<StreamId, std::vector<std::uint8_t>> mid;
+      std::map<StreamId, std::vector<std::uint8_t>> end;
+      std::vector<StreamId> ids;
+      {
+        StreamEngine engine({.threads = threads,
+                             .flight_recorder_depth = 64,
+                             .forensics_dir = dir.string()});
+        for (const serve::StreamSpec& spec : fleet) {
+          core::Result<StreamId> id = engine.submit(spec);
+          ASSERT_TRUE(id.is_ok()) << id.status().message();
+          ids.push_back(id.value());
+        }
+        if (!chunked) {
+          for (int k = 0; k < 120; ++k) engine.step_all();
+          mid = retained_dumps(engine, ids);
+          expect_files_match(dir, mid);
+          ASSERT_TRUE(engine.rebalance(3).is_ok());
+          EXPECT_EQ(retained_dumps(engine, ids), mid) << "rebalance changed a retained dump";
+        }
+        if (chunked) {
+          engine.run_to_completion();
+        } else {
+          while (engine.step_all() > 0) {
+          }
+        }
+        end = retained_dumps(engine, ids);
+        EXPECT_GE(end.size(), 32u) << "too few streams dumped to compare";
+        expect_files_match(dir, end);
+        for (const StreamId id : ids) ASSERT_TRUE(engine.drain(id).is_ok());
+        for (const StreamId id : ids) {
+          EXPECT_EQ(engine.last_dump(id).status().code(), core::StatusCode::kOutOfRange);
+        }
+      }
+      std::filesystem::remove_all(dir);
+      for (auto* dumps : {&mid, &end}) {
+        for (auto& [id, image] : *dumps) image = without_layout(image);
+      }
+      if (threads == 1) {
+        serial_mid = std::move(mid);
+        serial_end = std::move(end);
+      } else {
+        EXPECT_EQ(mid, serial_mid) << "mid-run dumps depend on the thread count";
+        EXPECT_EQ(end, serial_end) << "final dumps depend on the thread count";
+      }
+    }
+  }
+}
+
 TEST(EngineForensics, ManualDumpErrorsAreTyped) {
   StreamEngine with_recorder({.threads = 1, .flight_recorder_depth = 16});
   EXPECT_EQ(with_recorder.dump_stream(99).status().code(),
@@ -636,6 +765,33 @@ TEST_F(EngineEventTest, AlarmAndDumpEventsCarryTheStreamId) {
       EXPECT_EQ(e.stream, id.value());
     }
   }
+}
+
+// kDump's arg0 is the frame count on the crash path too, not the image size.
+TEST_F(EngineEventTest, CrashPathDumpEventsCountFrames) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "awd_forensics_crash_events";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  StreamEngine engine({.threads = 1, .flight_recorder_depth = 32});
+  core::Result<StreamId> id = engine.submit(small_spec("series_rlc", AttackKind::kNone, 1));
+  ASSERT_TRUE(id.is_ok());
+  for (int k = 0; k < 50; ++k) engine.step_all();
+  const std::size_t recorded = engine.introspect().shard_info.at(0).recorder_frames;
+  ASSERT_EQ(recorded, 32u);
+
+  EventLog::global().clear();
+  ASSERT_EQ(engine.dump_all_streams(dir.string()), 1u);
+  std::size_t dumps = 0;
+  for (const obs::Event& e : EventLog::global().collect()) {
+    if (e.kind != EventKind::kDump) continue;
+    ++dumps;
+    EXPECT_EQ(e.stream, id.value());
+    EXPECT_EQ(e.arg0, static_cast<std::int64_t>(recorded));
+    EXPECT_EQ(e.arg1, static_cast<std::int64_t>(DumpReason::kCrash));
+  }
+  EXPECT_EQ(dumps, 1u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(EngineEventTest, AdmissionRejectAndCheckpointAreLogged) {
