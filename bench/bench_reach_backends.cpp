@@ -2,16 +2,21 @@
 // per-estimate cost of the box walk vs the precomputed-table lookup on
 // every small seed plant, with the table's conservatism ratio alongside.
 //
-// The table backend exists to be an order of magnitude cheaper than the
-// walk: the program exits 1 when any plant's speedup (median of
-// interleaved box/table pairs) is below kSpeedupFloor.  The conservatism
-// ratio is printed for reference; its floor is a tier-1 test
-// (tests/reach/table_conservatism_test.cpp) on the same probe setup.
+// The table backend exists to answer in O(1), whatever the walk costs.
+// The program exits 1 when, on any plant:
+//   * the lookup's own cost (min per-estimate ns over interleaved pairs)
+//     is above that plant's absolute ceiling (kPlants below), or
+//   * the table outlasts the walk: the median of the per-pair box/table
+//     ratios is below 1.
+// The box/table ratio is printed for reference; it moves with the walk's
+// speed, not the table's.  The conservatism ratio is printed too; its
+// floor is a tier-1 test (tests/reach/table_conservatism_test.cpp) on the
+// same probe setup.
 //
 // Before timing, main() verifies the contract the numbers depend on:
 // backends rebuilt from the same spec must answer bit-identically, and the
 // soundness ordering (in-domain table <= box) must hold on every probe — a
-// speedup over an unsound backend means nothing.
+// fast but unsound backend means nothing.
 //
 // Usage: bench_reach_backends  (no options)
 #include <algorithm>
@@ -31,11 +36,18 @@ using namespace awd;
 using linalg::Vec;
 using testkit::TableProbeSetup;
 
-const char* const kPlants[] = {"aircraft_pitch", "vehicle_turning", "series_rlc",
-                               "dc_motor"};
-
-/// Minimum table speedup over the box walk, per plant.
-constexpr double kSpeedupFloor = 10.0;
+/// Each plant with its lookup ceiling: 3x the median lookup cost of 20
+/// runs on a shared 4-vCPU x86-64 host (7.6, 4.6, 6.6 and 7.5 ns; slowest
+/// run 9.3, 5.7, 7.6 and 9.8 ns), rounded up.  A lookup that walks instead
+/// measured 33-122 ns there, above every ceiling.
+struct PlantGate {
+  const char* name;
+  double table_ceiling_ns;
+};
+constexpr PlantGate kPlants[] = {{"aircraft_pitch", 23.0},
+                                 {"vehicle_turning", 14.0},
+                                 {"series_rlc", 20.0},
+                                 {"dc_motor", 23.0}};
 
 /// Gate precondition: rebuild determinism + table soundness.
 bool verify_contract(const TableProbeSetup& s) {
@@ -76,17 +88,15 @@ double timed_pass_ns(const reach::Backend& backend, const TableProbeSetup& s,
 
 struct WalkVsLookup {
   double box_ns;     ///< min per-estimate walk cost over pairs
-  double table_ns;   ///< min per-estimate lookup cost over pairs
-  double speedup;    ///< median of per-pair box/table ratios — the gated value
+  double table_ns;   ///< min per-estimate lookup cost over pairs — gated
+  double speedup;    ///< median of per-pair box/table ratios — gated at >= 1
 };
 
 /// Per-estimate cost of the box walk vs the table lookup, measured as
-/// *pairs* (one box pass immediately followed by one table pass) with the
-/// gated speedup taken as the median of the per-pair ratios.  The absolute
-/// timings on a shared single-vCPU box swing 2x with steal time, but the
-/// two passes of a pair see near-identical conditions, so their ratio is
-/// stable where separately-reduced mins are not; the median then sheds the
-/// pairs a context switch split down the middle.
+/// *pairs* (one box pass immediately followed by one table pass).  The
+/// min over pairs is the cost least disturbed by co-tenants; the median of
+/// the per-pair ratios sheds the pairs a context switch split down the
+/// middle.
 WalkVsLookup walk_vs_lookup_ns(const TableProbeSetup& s) {
   constexpr int kPairs = 15;  // odd, so the median is one pair's ratio
   constexpr int kRounds = 24;
@@ -111,21 +121,28 @@ WalkVsLookup walk_vs_lookup_ns(const TableProbeSetup& s) {
 
 int main() {
   bool ok = true;
-  for (const char* plant : kPlants) {
-    const TableProbeSetup s = testkit::make_table_probe_setup(plant);
+  for (const PlantGate& gate : kPlants) {
+    const TableProbeSetup s = testkit::make_table_probe_setup(gate.name);
     if (!verify_contract(s)) return 1;
     const WalkVsLookup timing = walk_vs_lookup_ns(s);
-    const bool pass = timing.speedup >= kSpeedupFloor;
-    std::printf("%-18s box %8.1f ns  table %6.1f ns  speedup %7.1fx  "
+    const bool under_ceiling = timing.table_ns <= gate.table_ceiling_ns;
+    const bool never_outlasts = timing.speedup >= 1.0;
+    const char* verdict = "ok";
+    if (!under_ceiling) {
+      verdict = "FAIL (lookup above ceiling)";
+    } else if (!never_outlasts) {
+      verdict = "FAIL (table outlasts walk)";
+    }
+    std::printf("%-18s box %8.1f ns  table %6.1f ns (ceiling %4.1f)  speedup %7.1fx  "
                 "conservatism table %.3f  %s\n",
-                plant, timing.box_ns, timing.table_ns, timing.speedup,
-                testkit::table_conservatism(s), pass ? "ok" : "FAIL");
-    ok = ok && pass;
+                gate.name, timing.box_ns, timing.table_ns, gate.table_ceiling_ns,
+                timing.speedup, testkit::table_conservatism(s), verdict);
+    ok = ok && under_ceiling && never_outlasts;
   }
   if (!ok) {
-    std::fprintf(stderr, "reach speedup gate: FAIL — below %.0fx floor\n", kSpeedupFloor);
+    std::fprintf(stderr, "reach table gate: FAIL\n");
     return 1;
   }
-  std::printf("reach speedup gate: OK (>= %.0fx)\n", kSpeedupFloor);
+  std::printf("reach table gate: OK (lookup under ceiling, never slower than the walk)\n");
   return 0;
 }

@@ -34,6 +34,7 @@
 #include "core/status.hpp"
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
+#include "linalg/kernels.hpp"  // level stub read by perfbench's host record
 #include "obs/obs.hpp"
 #include "reach/backend.hpp"
 #include "reach/deadline.hpp"

@@ -34,8 +34,6 @@ DataLogger::DataLogger(models::DiscreteLti model, std::size_t max_window)
   if (max_window_ == 0) throw std::invalid_argument("DataLogger: max_window must be >= 1");
   // w_m + 1 points inside a maximal window plus the trusted seed outside it.
   buf_.resize(max_window_ + 2);
-  a_panel_.assign(model_.A);
-  b_panel_.assign(model_.B);
 }
 
 core::Status DataLogger::check_log(std::size_t t, const Vec& estimate,
@@ -88,17 +86,13 @@ const LogEntry& DataLogger::store(std::size_t t, const Vec& estimate, const Vec&
     e.residual.assign(n, 0.0);
   } else {
     const LogEntry& prev = slot(latest_);
-    // x̃ = A x̄ + B u on the kernel panels — the same three kernels (and
-    // the same per-row sum order) as DiscreteLti::step_into, so the
-    // prediction is bit-identical to the model path.
-    e.predicted.assign(n, 0.0);
-    predict_scratch_.assign(n, 0.0);
-    linalg::kernels::gemv(a_panel_, prev.estimate.data(), e.predicted.data());
-    linalg::kernels::gemv(b_panel_, prev.control.data(), predict_scratch_.data());
-    linalg::kernels::add_assign(e.predicted.data(), predict_scratch_.data(), n);
+    // x̃ = A x̄ + B u, the model's own prediction.  check_log has already
+    // matched both dimensions to the model, so this cannot throw.
+    model_.step_into(prev.estimate, prev.control, e.predicted, predict_scratch_);
     e.residual.assign(n, 0.0);
-    linalg::kernels::abs_diff(e.predicted.data(), e.estimate.data(),
-                              e.residual.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      e.residual[i] = std::abs(e.predicted[i] - e.estimate[i]);
+    }
     // Quarantine line 2: even finite inputs can overflow through an
     // unstable model's prediction.
     if (!e.predicted.is_finite() || !e.residual.is_finite()) {

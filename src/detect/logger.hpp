@@ -26,7 +26,6 @@
 
 #include "core/ckpt.hpp"
 #include "core/status.hpp"
-#include "linalg/kernels.hpp"
 #include "models/lti.hpp"
 
 namespace awd::detect {
@@ -136,11 +135,6 @@ class DataLogger {
   models::DiscreteLti model_;
   std::size_t max_window_;
   std::vector<LogEntry> buf_;  ///< ring, indexed by t mod capacity
-  /// Kernel-layout copies of model_.A / model_.B for the per-step
-  /// prediction x̃ = A x̄ + B u — derived data, rebuilt in the constructor,
-  /// never checkpointed.
-  linalg::kernels::GemvPanel a_panel_;
-  linalg::kernels::GemvPanel b_panel_;
   Vec predict_scratch_;        ///< store() scratch (not logical state)
   std::size_t size_ = 0;       ///< retained entry count
   std::size_t latest_ = 0;     ///< absolute step of newest entry (valid when size_ > 0)

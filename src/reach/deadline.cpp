@@ -28,6 +28,37 @@ std::uint64_t box_fingerprint(const models::DiscreteLti& model, const Box& u_ran
 
 }  // namespace
 
+void SupportTable::add_check(const double* row, double drift_k, double spread_k,
+                             double lo_k, double hi_k) {
+  rows.insert(rows.end(), row, row + dim);
+  drift.push_back(drift_k);
+  spread.push_back(spread_k);
+  lo.push_back(lo_k);
+  hi.push_back(hi_k);
+  ++steps.back().count;
+}
+
+std::size_t support_walk(const SupportTable& table, const double* x0, std::size_t cap,
+                         bool& resolved) noexcept {
+  const std::size_t n = table.dim;
+  for (std::size_t t = 1; t <= cap; ++t) {
+    const SupportTable::Step& st = table.steps[t - 1];
+    for (std::size_t c = st.off; c < st.off + st.count; ++c) {
+      const double* row = table.rows.data() + c * n;
+      double center = 0.0;
+      for (std::size_t j = 0; j < n; ++j) center += row[j] * x0[j];
+      center += table.drift[c];
+      if (!(table.lo[c] <= center - table.spread[c] &&
+            center + table.spread[c] <= table.hi[c])) {
+        resolved = true;
+        return t;
+      }
+    }
+  }
+  resolved = false;
+  return cap;
+}
+
 BoxBackend::BoxBackend(const models::DiscreteLti& model, Box u_range, double eps,
                        Box safe_set, DeadlineConfig config)
     // No std::move on the boxes: box_fingerprint reads them, and argument
@@ -57,8 +88,7 @@ BoxBackend::BoxBackend(const models::DiscreteLti& model, Box u_range, double eps
   table_ = widened_table({});
 }
 
-linalg::kernels::SupportTable BoxBackend::widened_table(
-    const std::vector<double>& half_width) const {
+SupportTable BoxBackend::widened_table(const std::vector<double>& half_width) const {
   // Flatten the spreads + the safe set + cached drift/A^t rows into the
   // SupportTable, dropping dimensions the safe set leaves unconstrained
   // (they can never fail).  Unwidened, the checks replicate the reach_box
@@ -66,15 +96,10 @@ linalg::kernels::SupportTable BoxBackend::widened_table(
   // recursion.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t n = dim_;
-  linalg::kernels::SupportTable out;
+  SupportTable out;
   out.dim = n;
-  std::vector<double> rows, drifts, step_spreads, los, his;
   for (std::size_t t = 1; t <= config_.max_window; ++t) {
-    rows.clear();
-    drifts.clear();
-    step_spreads.clear();
-    los.clear();
-    his.clear();
+    out.begin_step();
     const Vec& spread = spreads_[t - 1];
     for (std::size_t i = 0; i < n; ++i) {
       const Interval& s = safe_[i];
@@ -86,14 +111,8 @@ linalg::kernels::SupportTable BoxBackend::widened_table(
         for (std::size_t j = 0; j < n; ++j) infl += std::fabs(row[j]) * half_width[j];
         widened += infl;
       }
-      rows.insert(rows.end(), row.begin(), row.end());
-      drifts.push_back(reach_.cum_drift(t)[i]);
-      step_spreads.push_back(widened);
-      los.push_back(s.lo);
-      his.push_back(s.hi);
+      out.add_check(row.data(), reach_.cum_drift(t)[i], widened, s.lo, s.hi);
     }
-    out.push_step(rows.data(), drifts.data(), step_spreads.data(), los.data(),
-                  his.data(), drifts.size());
   }
   return out;
 }
@@ -103,9 +122,9 @@ std::size_t BoxBackend::walk_(const Vec& x0, std::size_t cap,
   // R̄ ∩ F = ∅  ⟺  R̄ ⊆ S when F is the complement of the safe box S, so
   // the search tests containment step by step (Fig. 2), reading the
   // precomputed per-step terms instead of re-running the reach recursion.
-  // The kernel reports the first *failing* reach step t; the deadline is
-  // the last trusted step before it.
-  const std::size_t t = linalg::kernels::support_walk(table_, x0.data(), cap, resolved);
+  // The walk reports the first *failing* reach step t; the deadline is the
+  // last trusted step before it.
+  const std::size_t t = support_walk(table_, x0.data(), cap, resolved);
   if (!resolved) return cap;
 #ifdef AWD_MUT_DEADLINE_OFF_BY_ONE
   // [mutation-smoke seeded bug] reports the first *unsafe* step as the

@@ -30,11 +30,47 @@
 #include <vector>
 
 #include "core/status.hpp"
-#include "linalg/kernels.hpp"
 #include "reach/backend.hpp"
 #include "reach/reach.hpp"
 
 namespace awd::reach {
+
+/// The cached walk's containment checks: per reach step t, one check per
+/// constrained safe-set dimension i.  The reach box at step t stays inside
+/// [lo, hi] in dimension i iff
+///   lo <= center - spread  &&  center + spread <= hi,
+/// with center = row·x0 + drift and row the i-th row of A^t.  Checks are
+/// stored back to back in step order, each row unpadded and row-major:
+/// check k of a step is index off + k, its row rows[(off + k) * dim + j].
+struct SupportTable {
+  struct Step {
+    std::size_t count = 0;  ///< checks at this reach step
+    std::size_t off = 0;    ///< index of the step's first check
+  };
+
+  std::size_t dim = 0;         ///< x0 length
+  std::vector<Step> steps;     ///< index t-1 → checks at reach step t
+  std::vector<double> rows;    ///< per check, `dim` coefficients
+  std::vector<double> drift;   ///< per check
+  std::vector<double> spread;  ///< per check
+  std::vector<double> lo;      ///< per check
+  std::vector<double> hi;      ///< per check
+
+  /// Open the next reach step, with no checks yet.
+  void begin_step() { steps.push_back({0, drift.size()}); }
+
+  /// Append one check (`row` has `dim` entries) to the newest step.
+  void add_check(const double* row, double drift_k, double spread_k, double lo_k,
+                 double hi_k);
+};
+
+/// First reach step t in [1, cap] with a failing containment check:
+/// resolved=true and t is returned.  When every step up to cap passes,
+/// resolved=false and cap is returned.  Each center sums its row in
+/// ascending j, then adds the drift; a NaN center fails its check.  cap
+/// must be <= table.steps.size(); x0 has table.dim elements.
+std::size_t support_walk(const SupportTable& table, const double* x0, std::size_t cap,
+                         bool& resolved) noexcept;
 
 /// Reachability-based detection-deadline estimator on the cached box
 /// support-function walk — the paper's construction, and the reference
@@ -71,7 +107,7 @@ class BoxBackend final : public Backend {
   /// table).  A walk over the widened checks at a point c is safe only if
   /// the unwidened walk is safe everywhere in the box c ± half_width — the
   /// deadline table's per-cell conservatism (reach/table.hpp).
-  [[nodiscard]] linalg::kernels::SupportTable widened_table(
+  [[nodiscard]] SupportTable widened_table(
       const std::vector<double>& half_width) const;
 
  private:
@@ -81,7 +117,7 @@ class BoxBackend final : public Backend {
   ReachSystem reach_;
   /// [t-1] → x0-independent per-dim spread at step t (full state dimension).
   std::vector<Vec> spreads_;
-  linalg::kernels::SupportTable table_;  ///< step t-1 → constrained-dim checks
+  SupportTable table_;  ///< step t-1 → constrained-dim checks
 };
 
 }  // namespace awd::reach

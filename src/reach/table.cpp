@@ -94,8 +94,8 @@ core::Result<DeadlineTable> build_table(const BackendSpec& spec) {
   // Per-cell conservative deadline = the box walk at the cell center with
   // each spread inflated by the worst-case center distance
   // infl_i(t) = Σ_j |A^t_{i,j}| h_j / 2 — see the file-header contract.
-  // The inflated checks reuse the same SupportTable kernel as live serving.
-  const linalg::kernels::SupportTable inflated = walker.widened_table(half_width);
+  // The inflated checks run on the same support walk as live serving.
+  const SupportTable inflated = walker.widened_table(half_width);
 
   const std::size_t total = cell_product(table.cells);
   table.deadlines.resize(total);
@@ -109,8 +109,7 @@ core::Result<DeadlineTable> build_table(const BackendSpec& spec) {
                   (2.0 * static_cast<double>(idx) + 1.0) * half_width[d];
     }
     bool resolved = false;
-    const std::size_t t =
-        linalg::kernels::support_walk(inflated, center.data(), w_m, resolved);
+    const std::size_t t = support_walk(inflated, center.data(), w_m, resolved);
     table.deadlines[linear] = static_cast<std::uint16_t>(resolved ? t - 1 : w_m);
   }
   return table;

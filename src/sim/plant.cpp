@@ -15,17 +15,6 @@ Plant::Plant(models::DiscreteLti model, reach::Box u_range, double eps, Vec x0)
   if (x_.size() != model_.state_dim()) {
     throw std::invalid_argument("Plant: initial state dimension mismatch");
   }
-  a_panel_.assign(model_.A);
-  b_panel_.assign(model_.B);
-}
-
-void Plant::predict_into(const Vec& x, const Vec& u, Vec& out, Vec& scratch) const {
-  const std::size_t n = model_.state_dim();
-  out.assign(n, 0.0);
-  scratch.assign(n, 0.0);
-  linalg::kernels::gemv(a_panel_, x.data(), out.data());
-  linalg::kernels::gemv(b_panel_, u.data(), scratch.data());
-  linalg::kernels::add_assign(out.data(), scratch.data(), n);
 }
 
 Vec Plant::step(const Vec& u, Rng& rng) {
@@ -39,7 +28,7 @@ void Plant::step_into(const Vec& u, Rng& rng, Vec& u_sat_out) {
     throw std::invalid_argument("Plant::step: input dimension mismatch");
   }
   u_range_.clamp_into(u, u_sat_out);
-  predict_into(x_, u_sat_out, next_scratch_, mul_scratch_);
+  model_.step_into(x_, u_sat_out, next_scratch_, mul_scratch_);
   rng.uniform_in_ball_into(model_.state_dim(), eps_, noise_scratch_);
   next_scratch_ += noise_scratch_;
   std::swap(x_, next_scratch_);

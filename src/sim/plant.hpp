@@ -5,7 +5,6 @@
 // uniformly from the Euclidean ball of radius ε (§3.2.1).
 #pragma once
 
-#include "linalg/kernels.hpp"
 #include "models/lti.hpp"
 #include "reach/sets.hpp"
 #include "sim/noise.hpp"
@@ -33,15 +32,10 @@ class Plant {
   /// step() writing the applied (saturated) input into caller-owned
   /// storage.  The value-returning overload delegates here; internal
   /// scratch vectors make the advance allocation-free after the first
-  /// call.  `u_sat_out` must not alias `u`.
+  /// call.  The noise-free part A x + B u is model().step_into, the same
+  /// prediction the Data Logger and the simulator's records compute.
+  /// `u_sat_out` must not alias `u`.
   void step_into(const Vec& u, Rng& rng, Vec& u_sat_out);
-
-  /// Noise-free one-step prediction A x + B u on the plant's kernel panels
-  /// — the same kernels (and sum order) as DiscreteLti::step_into, so the
-  /// result is bit-identical to model().step_into.
-  /// Used internally by step_into and by the simulator's record-prediction
-  /// path.  `out` and `scratch` must not alias `x` or `u`.
-  void predict_into(const Vec& x, const Vec& u, Vec& out, Vec& scratch) const;
 
   /// Reset the true state for a new run.
   void reset(Vec x0);
@@ -61,10 +55,6 @@ class Plant {
   reach::Box u_range_;
   double eps_;
   Vec x_;
-  // Kernel-layout copies of model_.A / model_.B (derived data, rebuilt in
-  // the constructor, never checkpointed).
-  linalg::kernels::GemvPanel a_panel_;
-  linalg::kernels::GemvPanel b_panel_;
   // step_into scratch (not logical state; buffers reused across steps).
   Vec next_scratch_;
   Vec mul_scratch_;

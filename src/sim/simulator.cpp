@@ -109,10 +109,11 @@ void Simulator::step_into(StepRecord& rec) {
     rec.predicted = rec.estimate;  // no prior step; define residual as zero
     rec.residual.assign(n, 0.0);
   } else {
-    plant_.predict_into(prev_estimate_, prev_control_, rec.predicted, mul_scratch_);
+    plant_.model().step_into(prev_estimate_, prev_control_, rec.predicted, mul_scratch_);
     rec.residual.assign(n, 0.0);
-    linalg::kernels::abs_diff(rec.predicted.data(), rec.estimate.data(),
-                              rec.residual.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      rec.residual[i] = std::abs(rec.predicted[i] - rec.estimate[i]);
+    }
   }
 
   // 5-6. Control and plant advance (applying any scheduled setpoint change

@@ -76,7 +76,7 @@ struct SimulatorOptions {
   /// output are unaffected — the DataLogger recomputes its own
   /// prediction/residual independently — so a lean run's alarms and
   /// deadlines are bit-identical to a full run's.  Serving-path knob
-  /// (serve::StreamEngine): drops two state-dimension kernels per step
+  /// (serve::StreamEngine): drops a prediction and a residual per step
   /// that nothing on the hot path reads.
   bool lean_records = false;
 };

@@ -179,6 +179,43 @@ TEST(Logger, QuarantinesNonFiniteControl) {
   EXPECT_TRUE(next.predicted.is_finite());
 }
 
+TEST(Logger, QuarantinesFiniteInputsThatOverflowThroughThePrediction) {
+  // Quarantine line 2: every input is finite, but A x̄ overflows to ±Inf.
+  models::DiscreteLti m;
+  m.A = linalg::Matrix{{1e300, 0.0}, {0.0, -1e300}};
+  m.B = linalg::Matrix{{0.0}, {0.0}};
+  m.dt = 0.1;
+  m.name = "overflow";
+  DataLogger log(m, 5);
+  (void)log.log(0, Vec{1e10, 1e10}, Vec{0.0});
+  ASSERT_EQ(log.quarantined_count(), 0u);
+
+  const LogEntry& e = log.log(1, Vec{1.0, -2.0}, Vec{0.0});
+  EXPECT_TRUE(e.quarantined);
+  EXPECT_EQ(e.predicted, e.estimate);  // the overflowed ±Inf is not kept
+  EXPECT_EQ(e.estimate, (Vec{1.0, -2.0}));
+  EXPECT_EQ(e.residual, (Vec{0.0, 0.0}));
+  EXPECT_EQ(log.quarantined_count(), 1u);
+
+  // The next step predicts from the finite estimate: 1e300·1 stays finite.
+  const LogEntry& next = log.log(2, Vec{0.0, 0.0}, Vec{0.0});
+  EXPECT_FALSE(next.quarantined);
+  EXPECT_TRUE(next.residual.is_finite());
+  EXPECT_TRUE(log.window_mean(2, 2).is_finite());
+
+  // The residual alone can overflow too: |1.5e308 - (-1.5e308)| = Inf.
+  models::DiscreteLti id = m;
+  id.A = linalg::Matrix{{1.0, 0.0}, {0.0, 1.0}};
+  DataLogger log2(id, 5);
+  (void)log2.log(0, Vec{1.5e308, 0.0}, Vec{0.0});
+  const LogEntry& r = log2.log(1, Vec{-1.5e308, 0.0}, Vec{0.0});
+  EXPECT_TRUE(r.quarantined);
+  EXPECT_EQ(r.predicted, r.estimate);
+  EXPECT_EQ(r.residual, (Vec{0.0, 0.0}));
+  EXPECT_EQ(log2.quarantined_count(), 1u);
+  EXPECT_TRUE(log2.window_mean(1, 1).is_finite());
+}
+
 TEST(Logger, WindowMeanSkipsQuarantinedEntries) {
   DataLogger log(scalar_model(), 10);
   const double nan = std::numeric_limits<double>::quiet_NaN();

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace awd::linalg {
@@ -138,6 +140,65 @@ TEST(Matrix, RowAndColFactories) {
   const Matrix c = Matrix::col(Vec{1.0, 2.0});
   EXPECT_EQ(c.rows(), 2u);
   EXPECT_EQ(c.cols(), 1u);
+}
+
+// mul_into is the one matrix-vector product: the plant, the Data Logger
+// and the simulator's records all predict x̃ = A x̄ + B u through it.  The
+// committed pins depend on its sum order: each row is summed in ascending
+// column order from +0.0.  Summed in descending order, both rows below
+// would swap their results.
+TEST(Matrix, MulIntoSumsEachRowInAscendingColumnOrder) {
+  const Matrix a{{1.0, 1e16, -1e16}, {-1e16, 1e16, 1.0}};
+  Vec out;
+  a.mul_into(Vec{1.0, 1.0, 1.0}, out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0], 0.0);  // (1 + 1e16) rounds to 1e16, then - 1e16
+  EXPECT_EQ(out[1], 1.0);  // (-1e16 + 1e16) + 1
+}
+
+TEST(Matrix, MulIntoPropagatesNonFiniteAndDenormalEntries) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  Matrix a(5, 3);
+  a(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  a(1, 1) = kInf;
+  a(2, 2) = -kInf;
+  a(3, 0) = 1.0;
+  a(4, 2) = denorm;
+  const Vec x{1.0, -2.0, 0.5};
+  Vec out(5, 7.0);  // stale contents must be overwritten
+  a.mul_into(x, out);
+  EXPECT_TRUE(std::isnan(out[0]));
+  EXPECT_EQ(out[1], -kInf);  // Inf * -2.0
+  EXPECT_EQ(out[2], -kInf);  // -Inf * 0.5
+  EXPECT_EQ(out[3], 1.0);
+  // denorm_min * 0.5 rounds to +0.0 under round-to-nearest-even; with
+  // x[2] = 1 the denormal survives the sum unchanged.
+  EXPECT_EQ(out[4], 0.0);
+  a.mul_into(Vec{0.0, 0.0, 1.0}, out);
+  EXPECT_EQ(out[4], denorm);
+  EXPECT_TRUE(std::isnan(out[1]));  // Inf * 0.0
+}
+
+TEST(Matrix, MulIntoZeroColumnsGivesEmptySums) {
+  // A plant with no inputs has a B with zero columns: every row of B u is
+  // the empty sum +0.0, whatever the output held before.
+  const Matrix b(3, 0);
+  Vec out(3, 99.0);
+  b.mul_into(Vec{}, out);
+  ASSERT_EQ(out.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(out[i], 0.0);
+    EXPECT_FALSE(std::signbit(out[i]));
+  }
+}
+
+TEST(Matrix, MulIntoEmptyMatrix) {
+  const Matrix empty(0, 0);
+  Vec out(2, 1.0);
+  empty.mul_into(Vec{}, out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_THROW(empty.mul_into(Vec{1.0}, out), std::invalid_argument);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // must keep at least its recorded tightness relative to the exact box walk,
 // less kRatioTolerance.  A collapse means the table turned uselessly
 // conservative even though it is still sound.  bench_reach_backends times
-// the same setup for the table's speed floor.
+// the same setup for the table lookup's cost ceiling.
 #include <gtest/gtest.h>
 
 #include "testkit/reach_probes.hpp"

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <stdexcept>
+#include <vector>
 
 #include "core/config.hpp"
 
@@ -199,6 +202,124 @@ TEST(Deadline, MonotoneInSafeSet) {
     EXPECT_GE(d, prev);
     prev = d;
   }
+}
+
+// --- the support walk behind the cached estimate -------------------------
+// (suite named KernelSupportWalk from when the walk was a linalg kernel)
+
+// Reference walk written straight from SupportTable's containment formula
+// on its row-major layout.
+std::size_t reference_walk(const SupportTable& table, const double* x0, std::size_t cap,
+                           bool& resolved) {
+  for (std::size_t t = 1; t <= cap; ++t) {
+    const SupportTable::Step& st = table.steps[t - 1];
+    for (std::size_t k = 0; k < st.count; ++k) {
+      const std::size_t c = st.off + k;
+      double center = 0.0;
+      for (std::size_t j = 0; j < table.dim; ++j) {
+        center += table.rows[c * table.dim + j] * x0[j];
+      }
+      center += table.drift[c];
+      if (!(table.lo[c] <= center - table.spread[c] &&
+            center + table.spread[c] <= table.hi[c])) {
+        resolved = true;
+        return t;
+      }
+    }
+  }
+  resolved = false;
+  return cap;
+}
+
+SupportTable random_table(std::mt19937_64& rng, std::size_t dim, std::size_t steps,
+                          std::size_t checks_per_step) {
+  std::uniform_real_distribution<double> dist(-2.0, 2.0);
+  SupportTable table;
+  table.dim = dim;
+  std::vector<double> row(dim);
+  for (std::size_t t = 0; t < steps; ++t) {
+    table.begin_step();
+    for (std::size_t k = 0; k < checks_per_step; ++k) {
+      for (double& r : row) r = dist(rng);
+      const double drift = dist(rng);
+      const double spread = std::abs(dist(rng)) * 0.1;
+      // Bounds wide enough that early steps usually pass, tight enough that
+      // some table resolves mid-walk.
+      table.add_check(row.data(), drift, spread, -4.0 - static_cast<double>(t),
+                      4.0 + static_cast<double>(t));
+    }
+  }
+  return table;
+}
+
+std::vector<double> random_point(std::mt19937_64& rng, std::size_t n) {
+  std::uniform_real_distribution<double> dist(-10.0, 10.0);
+  std::vector<double> v(n);
+  for (double& x : v) x = dist(rng);
+  return v;
+}
+
+TEST(KernelSupportWalk, MatchesReferenceAcrossShapesAndLevels) {
+  std::mt19937_64 rng(20260808);
+  for (const std::size_t dim : {1, 2, 3, 4, 12}) {
+    for (const std::size_t checks : {1, 2, 3, 4, 5, 7}) {
+      const SupportTable table = random_table(rng, dim, 20, checks);
+      ASSERT_EQ(table.rows.size(), 20 * checks * dim);  // unpadded
+      const std::vector<double> x0 = random_point(rng, dim);
+
+      bool ref_resolved = false;
+      const std::size_t ref_t = reference_walk(table, x0.data(), 20, ref_resolved);
+      bool resolved = false;
+      const std::size_t t = support_walk(table, x0.data(), 20, resolved);
+      EXPECT_EQ(t, ref_t) << "dim=" << dim << " checks=" << checks;
+      EXPECT_EQ(resolved, ref_resolved);
+    }
+  }
+}
+
+TEST(KernelSupportWalk, CapShortOfBoundaryLeavesUnresolved) {
+  std::mt19937_64 rng(3);
+  const SupportTable table = random_table(rng, 3, 30, 2);
+  const std::vector<double> x0{100.0, -100.0, 50.0};  // escapes early
+  bool resolved = false;
+  const std::size_t full = support_walk(table, x0.data(), 30, resolved);
+  ASSERT_TRUE(resolved);
+  ASSERT_GE(full, 1u);
+
+  // Capping below the failing step must report resolved=false and the cap.
+  bool capped_resolved = true;
+  const std::size_t capped = support_walk(table, x0.data(), full - 1, capped_resolved);
+  EXPECT_FALSE(capped_resolved);
+  EXPECT_EQ(capped, full - 1);
+}
+
+TEST(KernelSupportWalk, NanSeedFailsLikeScalarAtEveryLevel) {
+  std::mt19937_64 rng(5);
+  const SupportTable table = random_table(rng, 2, 10, 3);
+  const std::vector<double> x0{std::numeric_limits<double>::quiet_NaN(), 1.0};
+
+  // A NaN center is outside every finite box: the very first check fails.
+  bool resolved = false;
+  EXPECT_EQ(support_walk(table, x0.data(), 10, resolved), 1u);
+  EXPECT_TRUE(resolved);
+
+  bool ref_resolved = false;
+  EXPECT_EQ(reference_walk(table, x0.data(), 10, ref_resolved), 1u);
+  EXPECT_TRUE(ref_resolved);
+}
+
+TEST(KernelSupportWalk, EmptyStepAndZeroCap) {
+  SupportTable table;
+  table.dim = 2;
+  // A step with no checks (fully unconstrained safe set) can never fail.
+  table.begin_step();
+  const std::vector<double> x0{1.0, 2.0};
+  bool resolved = true;
+  EXPECT_EQ(support_walk(table, x0.data(), 1, resolved), 1u);
+  EXPECT_FALSE(resolved);
+  resolved = true;
+  EXPECT_EQ(support_walk(table, x0.data(), 0, resolved), 0u);
+  EXPECT_FALSE(resolved);
 }
 
 }  // namespace

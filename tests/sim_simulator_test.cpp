@@ -5,6 +5,7 @@
 
 #include <stdexcept>
 
+#include "detect/logger.hpp"
 #include "sim/pid.hpp"
 
 namespace awd::sim {
@@ -72,6 +73,22 @@ TEST(Simulator, ResidualEqualsPredictionError) {
         std::abs(0.9 * prev.estimate[0] + 0.5 * prev.control[0] - rec.estimate[0]);
     EXPECT_NEAR(rec.residual[0], expected, 1e-12);
     prev = rec;
+  }
+}
+
+TEST(Simulator, RecordPredictionMatchesDataLoggerBitForBit) {
+  // The record path and the Data Logger each compute x̃ = A x̄ + B u through
+  // the model and z = |x̃ - x̄| in their own loop; both must give the same
+  // bits, since records are what traces and dumps show for the logger.
+  SimulatorOptions o = base_opts();
+  o.sensor_noise = Vec{0.01};
+  Simulator sim = make_sim(o, std::make_shared<attack::NoAttack>(), 0.02);
+  detect::DataLogger log(scalar_model(), 8);
+  for (std::size_t t = 0; t < 40; ++t) {
+    const StepRecord rec = sim.step();
+    const detect::LogEntry& e = log.log(t, rec.estimate, rec.control);
+    EXPECT_EQ(rec.predicted, e.predicted) << "step " << t;
+    EXPECT_EQ(rec.residual, e.residual) << "step " << t;
   }
 }
 
